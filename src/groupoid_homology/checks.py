@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .abelian import FgAbGroup
-from .dr_finite import ZkAction, orbit_oracle, to_koszul
+
+# perfbench/tracing.py wraps build, homology, to_koszul, kernel_basis, snf and
+# det at these names (its WRAPPED list), so keep them imported here by name
+from .dr_finite import ZkAction, _perm_matrix, orbit_oracle, to_koszul
 from .exact_linalg import IntMatrix, det, kernel_basis, snf, track_entry_growth
 from .kgraph import (
     KGraphSkeleton,
@@ -70,14 +73,6 @@ def _perm_power(p: list[int], e: int) -> tuple[int, ...]:
     for _ in range(e):
         q = [p[x] for x in q]
     return tuple(q)
-
-
-def _perm_matrix(p) -> IntMatrix:
-    n = len(p)
-    entries = [0] * (n * n)
-    for y, img in enumerate(p):
-        entries[img * n + y] = 1
-    return IntMatrix(n, n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +132,7 @@ def _random_commuting_family(rng: random.Random, k: int, m: int) -> list[IntMatr
         return fam
     if style == "perm":
         base = _random_permutation(rng, m)
-        return [_perm_matrix(_perm_power(base, rng.randint(0, m))) for _ in range(k)]
+        return [_perm_matrix(_perm_power(base, rng.randint(0, m)), m) for _ in range(k)]
     diags = []
     for _ in range(k):
         entries = [0] * (m * m)
@@ -356,10 +351,9 @@ def run_all(seed: int, cases: dict | None = None) -> list[NetResult]:
 class PerfReport:
     """Timing and entry-growth summary for the reference workload.
 
-    Growth is judged per diagonal reduction: the pipeline feeds exact
-    results of one reduction (kernel bases) into the next, so each
-    reduction's peak is compared with the entries it was given, which is
-    what the pivoting strategy actually controls.
+    Growth is judged per diagonal reduction: each reduction's peak is
+    compared with the entries it was given, which is what the pivoting
+    strategy actually controls.
     """
 
     vertices: int

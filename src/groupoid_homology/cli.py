@@ -4,8 +4,9 @@ Subcommands take instance files (see serialize for the schema), print a
 deterministic JSON payload on stdout (or a plain-text report with
 --text), and reserve stderr for a single JSON error object. Exit codes:
 0 success, 1 validation findings or a failed computation, 2 malformed
-input files, 3 rank gates. The HOMOLOGY_SEED environment variable
-overrides --seed for the check nets.
+input files, 3 rank gates, 141 (128 + SIGPIPE) with nothing on stderr
+when the reader of stdout goes away early, as in `ghom ... | head`. The
+HOMOLOGY_SEED environment variable overrides --seed for the check nets.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import argparse
 import os
 import sys
 
+# perfbench/tracing.py wraps load_instance, dumps, validate, validate_action,
+# to_koszul, homology, ktheory and cubical_homology_rank1 at these names (its
+# WRAPPED list), so keep them imported here by name
 from .checks import DEFAULT_CASES, perf_workload, run_all
 from .dr_finite import to_koszul, validate_action
 from .errors import (
@@ -263,7 +267,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed by its reader; send the interpreter's last flush
+        # to devnull so that it does not raise again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (RankUnsupported, SchemaError, OSError) + _FAILURE_ERRORS as exc:
         body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, SkeletonInvalid):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .abelian import TRIVIAL, HomologyProfile, direct_sum
 from .errors import DimensionMismatch, NonCommuting, NotBijective
 from .exact_linalg import IntMatrix
+# perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import KoszulComplex, build, homology
 
 

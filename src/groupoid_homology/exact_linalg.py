@@ -5,6 +5,14 @@ normal form with unimodular transforms, kernel and cokernel of integer
 maps, and columnwise integer solving. No floating point is used at any
 point; every result is exact.
 
+One reduction, _smithify, serves every caller and carries only the
+transforms its caller reads: none for invariant factors, ranks and
+cokernels, which are all that homology of a complex of free modules
+needs (Munkres, Elements of Algebraic Topology, section 11); the right
+transform V for kernel bases; U and V for snf and solve_columns.
+Matrices cache nothing, so solve_columns reduces its matrix on every
+call.
+
 Storage is a read-only numpy object array: entries stay honest Python
 ints while row and column operations run as single vectorized calls.
 """
@@ -52,7 +60,7 @@ class IntMatrix:
     rounds; all operations return new matrices.
     """
 
-    __slots__ = ("_a", "_left_inverse")
+    __slots__ = ("_a",)
 
     def __init__(self, rows: int, cols: int, entries):
         flat = [int(x) for x in entries]
@@ -68,7 +76,6 @@ class IntMatrix:
             a.ravel()[:] = flat
         a.flags.writeable = False
         self._a = a
-        self._left_inverse = None
 
     @classmethod
     def _wrap(cls, array) -> "IntMatrix":
@@ -76,7 +83,6 @@ class IntMatrix:
         m = object.__new__(cls)
         array.flags.writeable = False
         m._a = array
-        m._left_inverse = None
         return m
 
     @classmethod
@@ -101,11 +107,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls._wrap(_obj_zeros(rows, cols))
-
-    @classmethod
-    def column(cls, entries) -> "IntMatrix":
-        entries = [int(x) for x in entries]
-        return cls(len(entries), 1, entries)
 
     @property
     def rows(self) -> int:
@@ -161,20 +162,6 @@ class IntMatrix:
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix._wrap(np.kron(self._a, other._a))
-
-    @staticmethod
-    def hstack(mats) -> "IntMatrix":
-        mats = list(mats)
-        if len({m.rows for m in mats}) > 1:
-            raise DimensionMismatch("hstack needs equal row counts")
-        return IntMatrix._wrap(np.hstack([m._a for m in mats]))
-
-    @staticmethod
-    def vstack(mats) -> "IntMatrix":
-        mats = list(mats)
-        if len({m.cols for m in mats}) > 1:
-            raise DimensionMismatch("vstack needs equal column counts")
-        return IntMatrix._wrap(np.vstack([m._a for m in mats]))
 
     def is_zero(self) -> bool:
         return not (self._a != 0).any()
@@ -327,22 +314,18 @@ def _first_nondivisible_row(D, t, p):
     return None
 
 
-def _smithify(D, want_u: bool, want_v: bool, want_w: bool = False):
-    """Reduce D in place to Smith form; return (diagonal, U, V, W).
+def _smithify(D, want_u: bool, want_v: bool):
+    """Reduce D in place to Smith form; return (diagonal, U, V).
 
     Pivoting: the nonzero entry of least absolute value in the remaining
     block, ties broken by lowest (row, col). Row and column clearing use
     nearest-integer quotients so remainders stay at most half the pivot.
     Before a pivot is frozen it is forced to divide every entry of the
     remaining block, which yields the divisibility chain.
-
-    W, when requested, is the inverse of V, maintained by mirroring each
-    column operation on V with the inverse row operation on W.
     """
     rows, cols = D.shape
     U = _obj_identity(rows) if want_u else None
     V = _obj_identity(cols) if want_v else None
-    W = _obj_identity(cols) if want_w else None
     stats = _TRACK.get()
     if stats is not None:
         stats.begin_reduction(D)
@@ -362,8 +345,6 @@ def _smithify(D, want_u: bool, want_v: bool, want_w: bool = False):
                 D[:, [t, j]] = D[:, [j, t]]
                 if want_v:
                     V[:, [t, j]] = V[:, [j, t]]
-                if want_w:
-                    W[[t, j], :] = W[[j, t], :]
             if D[t, t] < 0:
                 D[t, :] = -D[t, :]
                 if want_u:
@@ -388,8 +369,6 @@ def _smithify(D, want_u: bool, want_v: bool, want_w: bool = False):
                         D[t:, j] -= q * D[t:, t]
                         if want_v:
                             V[:, j] -= q * V[:, t]
-                        if want_w:
-                            W[t, :] += q * W[j, :]
                     if D[t, j]:
                         dirty = True
             if dirty:
@@ -408,7 +387,7 @@ def _smithify(D, want_u: bool, want_v: bool, want_w: bool = False):
     if stats is not None and D.size:
         stats.note_array(D)
     diag = [int(D[i, i]) for i in range(limit)]
-    return diag, U, V, W
+    return diag, U, V
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -419,7 +398,7 @@ def snf(a: IntMatrix) -> SnfResult:
     The reduction is deterministic, so equal inputs give equal outputs.
     """
     D = a._writable_copy()
-    diag, U, V, _ = _smithify(D, True, True)
+    diag, U, V = _smithify(D, True, True)
     rank = sum(1 for x in diag if x)
     return SnfResult(tuple(diag), IntMatrix._wrap(U), IntMatrix._wrap(V), rank)
 
@@ -427,7 +406,7 @@ def snf(a: IntMatrix) -> SnfResult:
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form only (no transforms; faster)."""
     D = a._writable_copy()
-    diag, _, _, _ = _smithify(D, False, False)
+    diag, _, _ = _smithify(D, False, False)
     return tuple(diag)
 
 
@@ -446,18 +425,13 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     diagonal of rank r, a @ v has zero columns from r on, and v being
     invertible over Z makes those columns a basis of the whole kernel.
 
-    The matching rows of the inverse transform give a left inverse of
-    the basis; it is cached on the result so that solving against a
-    kernel basis is a multiplication rather than a second reduction.
+    Homology does not need this: its kernel ranks are cols - rank. This
+    is a utility for callers that want explicit cycles.
     """
     D = a._writable_copy()
-    diag, _, V, W = _smithify(D, False, True, True)
+    diag, _, V = _smithify(D, False, True)
     r = sum(1 for x in diag if x)
-    k = IntMatrix._wrap(np.array(V[:, r:], dtype=object))
-    left = np.array(W[r:, :], dtype=object)
-    left.flags.writeable = False
-    k._left_inverse = left
-    return k
+    return IntMatrix._wrap(np.array(V[:, r:], dtype=object))
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:
@@ -480,18 +454,6 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         raise DimensionMismatch(
             f"a has {a.rows} rows but b has {b.rows}"
         )
-    left = a._left_inverse
-    if left is not None:
-        # a has full column rank with a cached left inverse, so left @ b
-        # is the only candidate; a @ y == b is the solvability test.
-        y = np.dot(left, b._a)
-        residual = np.dot(a._a, y) - b._a
-        bad = np.flatnonzero((residual != 0).any(axis=0))
-        if bad.size:
-            raise NoIntegerSolution(
-                f"column {int(bad[0])} of the right-hand side is not in the span"
-            )
-        return IntMatrix._wrap(y)
     res = snf(a)
     c = (res.u @ b)._writable_copy()
     d = res.d

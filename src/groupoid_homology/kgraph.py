@@ -27,7 +27,8 @@ from .errors import (
     RankUnsupported,
     SkeletonInvalid,
 )
-from .exact_linalg import IntMatrix, cokernel, kernel_basis
+from .exact_linalg import IntMatrix, cokernel
+# perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import build, homology
 
 
@@ -110,6 +111,12 @@ def _source_rows_exist(s: KGraphSkeleton) -> bool:
     )
 
 
+def _require_valid(s: KGraphSkeleton) -> None:
+    findings = validate(s)
+    if findings:
+        raise SkeletonInvalid(findings)
+
+
 def groupoid_homology(s: KGraphSkeleton) -> HomologyProfile:
     """Homology of the path groupoid of the skeleton.
 
@@ -117,9 +124,11 @@ def groupoid_homology(s: KGraphSkeleton) -> HomologyProfile:
     attached, and the boundary uses id - M_i^t; the profile has entries
     H_0 .. H_k. Raises SkeletonInvalid if validate(s) reports anything.
     """
-    findings = validate(s)
-    if findings:
-        raise SkeletonInvalid(findings)
+    _require_valid(s)
+    return _homology_of_valid(s)
+
+
+def _homology_of_valid(s: KGraphSkeleton) -> HomologyProfile:
     endos = [m.transpose() for m in s.matrices]
     notes = [f"rank-{s.k} vertex-matrix complex on {len(s.vertices)} vertices"]
     if s.allow_sources and _source_rows_exist(s):
@@ -170,6 +179,7 @@ def ktheory_from_profile(
     request and marked as such.
     """
     k = profile.k
+    _rank_gate(k, allow_conjectural)
     if k == 1:
         return KTheoryResult(
             profile.groups[0], profile.groups[1], "rank1", "verified-structurally"
@@ -181,33 +191,31 @@ def ktheory_from_profile(
             "rank2",
             "verified-structurally",
         )
-    if not allow_conjectural:
-        raise RankUnsupported(
-            f"K-theory wiring is established for k = 1 and k = 2 only; "
-            f"k = {k} requires allow_conjectural"
-        )
     return KTheoryResult(
         profile.even_sum(), profile.odd_sum(), "conjectural-k>=3", "conjectural"
     )
 
 
+def _rank_gate(k: int, allow_conjectural: bool) -> None:
+    if k >= 3 and not allow_conjectural:
+        raise RankUnsupported(
+            f"K-theory wiring is established for k = 1 and k = 2 only; "
+            f"k = {k} requires allow_conjectural"
+        )
+
+
 def ktheory(s: KGraphSkeleton, allow_conjectural: bool = False) -> KTheoryResult:
     """K-theory of the skeleton's groupoid C*-algebra.
 
-    Rank 1 is computed directly: K_0 is the cokernel and K_1 the kernel
-    of id - M_1^t (K_1 is free, being a kernel of an integer map). Rank
-    2 goes through the homology profile. Higher ranks are gated behind
-    allow_conjectural and marked conjectural in the result.
+    The skeleton is validated once, then higher ranks are gated behind
+    allow_conjectural before any reduction runs, so findings take
+    precedence over the gate. The answer is ktheory_from_profile of the
+    homology profile; for rank 1 that is K_0 = coker(id - M_1^t) and
+    K_1 = ker(id - M_1^t).
     """
-    findings = validate(s)
-    if findings:
-        raise SkeletonInvalid(findings)
-    if s.k == 1:
-        a = IntMatrix.identity(len(s.vertices)) - s.matrices[0].transpose()
-        k0 = cokernel(a)
-        k1 = FgAbGroup.free(kernel_basis(a).cols)
-        return KTheoryResult(k0, k1, "rank1", "verified-structurally")
-    return ktheory_from_profile(groupoid_homology(s), allow_conjectural)
+    _require_valid(s)
+    _rank_gate(s.k, allow_conjectural)
+    return ktheory_from_profile(_homology_of_valid(s), allow_conjectural)
 
 
 def single_vertex_closed_form(edge_counts) -> HomologyProfile:
@@ -287,11 +295,15 @@ def kunneth(pa: HomologyProfile, pb: HomologyProfile) -> HomologyProfile:
 def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
     """Homology of the underlying directed graph of a rank-1 skeleton.
 
-    Computed as cokernel and kernel of the edge incidence matrix (each
-    edge contributes source minus range), not from a formula, so vertex
-    and edge counting stays an independent cross-check. H_0 is free on
-    the weakly connected components; H_1 is free as a kernel. The
-    no-sources hypothesis is irrelevant here, so sources are accepted.
+    Computed as cokernel and kernel of the edge incidence map (each edge
+    contributes source minus range), not from a formula, so vertex and
+    edge counting stays an independent cross-check. H_0 is free on the
+    weakly connected components; H_1 is free as a kernel, of rank
+    (edges) - (incidence rank). Parallel edges give equal columns and
+    loops give zero columns, so the reduced matrix has one column per
+    pair v != w joined by an edge, and its size does not grow with the
+    edge multiplicities. The no-sources hypothesis is irrelevant here,
+    so sources are accepted.
     """
     if s.k != 1:
         raise RankUnsupported(
@@ -302,30 +314,28 @@ def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
         raise SkeletonInvalid(negative)
     m = s.matrices[0]
     n = len(s.vertices)
+    edges = sum(m.entries)
     cols = []
     for v in range(n):
         for w in range(n):
-            count = m[v, w]
-            if v == w:
-                cols.extend([[0] * n] * count)
-                continue
-            col = [0] * n
-            col[w] = 1
-            col[v] = -1
-            cols.extend([col] * count)
+            if v != w and m[v, w]:
+                col = [0] * n
+                col[w] = 1
+                col[v] = -1
+                cols.append(col)
     incidence = (
         IntMatrix.from_rows(cols).transpose()
         if cols
         else IntMatrix.zeros(n, 0)
     )
     h0 = cokernel(incidence)
-    h1 = FgAbGroup.free(kernel_basis(incidence).cols)
     if h0.torsion:
         raise BrokenComplex("graph incidence cokernel acquired torsion")
+    h1 = FgAbGroup.free(edges - (n - h0.free_rank))
     return HomologyProfile(
         (h0, h1),
         1,
-        (f"underlying directed graph: {n} vertices, {len(cols)} edges",),
+        (f"underlying directed graph: {n} vertices, {edges} edges",),
     )
 
 

@@ -13,25 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from .abelian import HomologyProfile
-from .errors import (
-    BrokenComplex,
-    DimensionMismatch,
-    NoIntegerSolution,
-    NonCommuting,
-    NotACycle,
-)
-from .exact_linalg import (
-    IntMatrix,
-    _obj_zeros,
-    cokernel,
-    kernel_basis,
-    solve_columns,
-)
+from .abelian import FgAbGroup, HomologyProfile
+from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
+from .exact_linalg import IntMatrix, _obj_zeros, cokernel, invariant_factors
+# unused here, but perfbench/tracing.py wraps these two at this module by name
+from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -124,22 +114,31 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
 def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     """Homology groups H_0 .. H_k of the complex, exactly.
 
-    Each degree works in a primitive basis of the kernel lattice: the
-    incoming boundary columns are rewritten in that basis (always
-    possible since boundaries land in kernels), and H_p is the cokernel
-    of the rewritten matrix. The free rank of H_p is then automatically
-    (kernel rank) - (image rank).
+    The chain groups are free, so with n_p = dim(p) and r_p = rank of
+    the degree-p boundary, H_p = Z^(n_p - r_p - r_{p+1}) (+) the
+    invariant factors > 1 of the degree-(p+1) boundary (Munkres,
+    Elements of Algebraic Topology, section 11): the kernel of a map
+    between free modules is a direct summand, so all torsion of
+    Z^(n_p) / image sits inside kernel / image. Each boundary is
+    therefore reduced exactly once, with no transforms: the cokernel of
+    the degree-(p+1) boundary gives the torsion and n_p - r_{p+1}, and
+    r_p is carried over from the previous degree. A negative free rank
+    can only come from a hand-built complex whose boundaries do not
+    compose to zero, and raises BrokenComplex.
     """
     groups = []
+    r_p = 0
     for p in range(c.k + 1):
-        kb = kernel_basis(c.boundary(p))
-        try:
-            y = solve_columns(kb, c.boundary(p + 1))
-        except NoIntegerSolution as e:
+        d = c.boundary(p + 1)
+        coker = cokernel(d)
+        free = coker.free_rank - r_p
+        if free < 0:
             raise BrokenComplex(
-                f"degree-{p + 1} boundary image escapes the degree-{p} kernel"
-            ) from e
-        groups.append(cokernel(y))
+                f"boundary ranks around degree {p} exceed the chain rank "
+                f"{d.rows}: the boundaries do not compose to zero"
+            )
+        groups.append(FgAbGroup.from_orders(free, coker.torsion))
+        r_p = d.rows - coker.free_rank
     profile = HomologyProfile(tuple(groups), c.k, tuple(notes))
     if c.k >= 1 and profile.euler_characteristic() != 0:
         raise BrokenComplex("alternating sum of homology free ranks is nonzero")
@@ -166,6 +165,12 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     the integer column span of the next boundary; True means it does for
     all of the given cycles. The degree is explicit because different
     degrees can share the same chain rank.
+
+    Membership is decided without transforms: the span of A is contained
+    in the span of [A | B], and the two are equal exactly when they have
+    equal rank and equal products of nonzero invariant factors. Equal
+    ranks give both lattices the same saturation, and that product is
+    the index of a lattice in its saturation.
     """
     p = int(degree)
     if not 0 <= p <= c.k:
@@ -184,9 +189,11 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     W = np.empty_like(Z._a)
     for b in range(comb(c.k, p)):
         W[b * m:(b + 1) * m, :] = np.dot(S, Z._a[b * m:(b + 1) * m, :])
-    shifted_minus_z = IntMatrix._wrap(W - Z._a)
-    try:
-        solve_columns(c.boundary(p + 1), shifted_minus_z)
-        return True
-    except NoIntegerSolution:
-        return False
+    a = c.boundary(p + 1)
+    return _span_index(a) == _span_index(IntMatrix._wrap(np.hstack([a._a, W - Z._a])))
+
+
+def _span_index(a: IntMatrix) -> tuple[int, int]:
+    """Rank of the column span, and its index in its saturation."""
+    nonzero = [x for x in invariant_factors(a) if x]
+    return len(nonzero), prod(nonzero)

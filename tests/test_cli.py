@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupoid_homology
 from groupoid_homology.cli import main
 
 TWO_VERTEX = {
@@ -216,3 +221,27 @@ def test_check_rejects_garbage_seed_env(capsys, monkeypatch):
     rc, _, err = run(capsys, ["check", "--seed", "5", "--cases", "3"])
     assert rc == 2
     assert json.loads(err)["error"]["type"] == "SchemaError"
+
+
+# --- output pipe closed early ---------------------------------------------------
+
+def test_closed_stdout_exits_quietly_with_sigpipe_code(tmp_path):
+    # a 256-vertex product prints far more than a pipe buffer holds, so the
+    # write after the reader goes away must fail
+    n = 16
+    ring = [1 if (w - v) % n in (0, 1) else 0 for v in range(n) for w in range(n)]
+    path = write(tmp_path, "ring.json", {
+        "kind": "kgraph", "k": 1, "vertices": [f"v{i}" for i in range(n)],
+        "matrices": [ring],
+    })
+    src = str(Path(groupoid_homology.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "groupoid_homology", "product", path, path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "kind"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

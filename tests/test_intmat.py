@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,23 @@ def test_snf_is_deterministic(a):
 def test_invariant_factors_agree_with_snf():
     a = IntMatrix.from_rows([[6, 10], [10, 6]])
     assert invariant_factors(a) == snf(a).d
+
+
+def test_invariant_factors_agree_with_sympy():
+    # sympy is a test-only oracle; the package never imports it
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random("sympy-oracle")
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(rows, cols))
+        left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+        a = IntMatrix(rows, rank, sum(left, [])) @ IntMatrix(rank, cols, sum(right, []))
+        theirs = normalforms.invariant_factors(Matrix(a.to_rows()), domain=ZZ)
+        assert invariant_factors(a) == tuple(int(x) for x in theirs)
 
 
 # --- kernels --------------------------------------------------------------

@@ -1,7 +1,10 @@
+import time
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from groupoid_homology import exact_linalg, kgraph
 from groupoid_homology.abelian import TRIVIAL, FgAbGroup, Z
 from groupoid_homology.errors import (
     HypothesisViolated,
@@ -119,6 +122,34 @@ def test_rank3_needs_opt_in():
     assert kt.k1 == FgAbGroup.from_orders(0, [2, 2])
 
 
+def test_rank3_gate_fires_before_any_reduction(monkeypatch):
+    def no_reductions(*args, **kwargs):
+        raise AssertionError("the rank gate must come before any reduction")
+
+    monkeypatch.setattr(exact_linalg, "_smithify", no_reductions)
+    sk = KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [3]) for _ in range(3)))
+    with pytest.raises(RankUnsupported):
+        ktheory(sk)
+    # findings still take precedence over the gate
+    bad = KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [-1]) for _ in range(3)))
+    with pytest.raises(SkeletonInvalid):
+        ktheory(bad)
+
+
+def test_ktheory_validates_once(monkeypatch):
+    calls = []
+
+    def counting_validate(s):
+        calls.append(s)
+        return validate(s)
+
+    monkeypatch.setattr(kgraph, "validate", counting_validate)
+    for sk in (TWO_VERTEX, RANK2_35):
+        calls.clear()
+        ktheory(sk)
+        assert len(calls) == 1
+
+
 def test_ktheory_result_rejects_mislabeled_status():
     with pytest.raises(ValueError):
         KTheoryResult(Z, Z, "rank1", "conjectural")
@@ -199,6 +230,15 @@ def test_cubical_two_vertex_graph():
 def test_cubical_counts_loops_as_circles():
     prof = cubical_homology_rank1(O2)
     assert prof.groups == (Z, FgAbGroup.free(2))
+
+
+def test_cubical_cost_does_not_grow_with_edge_multiplicity():
+    sk = KGraphSkeleton(("v", "w"), (IntMatrix.from_rows([[1, 20000], [3, 2]]),))
+    start = time.perf_counter()
+    prof = cubical_homology_rank1(sk)
+    assert time.perf_counter() - start < 0.5
+    assert prof.groups == (Z, FgAbGroup.free(20005))
+    assert prof.notes == ("underlying directed graph: 2 vertices, 20006 edges",)
 
 
 def test_cubical_gate_for_higher_rank():

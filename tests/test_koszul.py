@@ -1,11 +1,32 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from groupoid_homology import checks
 from groupoid_homology.abelian import FgAbGroup
-from groupoid_homology.errors import DimensionMismatch, NonCommuting, NotACycle
-from groupoid_homology.exact_linalg import IntMatrix, kernel_basis
-from groupoid_homology.koszul import build, homology, verify_shift_identity
+from groupoid_homology.dr_finite import ZkAction, to_koszul
+from groupoid_homology.errors import (
+    BrokenComplex,
+    DimensionMismatch,
+    NoIntegerSolution,
+    NonCommuting,
+    NotACycle,
+)
+from groupoid_homology.exact_linalg import (
+    IntMatrix,
+    cokernel,
+    kernel_basis,
+    solve_columns,
+)
+from groupoid_homology.kgraph import product
+from groupoid_homology.koszul import (
+    KoszulComplex,
+    build,
+    homology,
+    verify_shift_identity,
+)
 
 
 def one_by_one(*values):
@@ -97,6 +118,61 @@ def test_profile_has_exactly_k_plus_one_groups():
         assert len(prof.groups) == k + 1
 
 
+def test_broken_hand_built_complex_is_refused():
+    # d_1 d_2 != 0 here, and r_1 + r_2 = 1 + 3 exceeds the chain rank 3
+    c = KoszulComplex(3, 1, tuple(one_by_one(2, 2, 2)), (
+        IntMatrix.from_rows([[1, 0, 0]]),
+        IntMatrix.identity(3),
+        IntMatrix.from_rows([[1], [0], [0]]),
+    ))
+    with pytest.raises(BrokenComplex):
+        homology(c)
+
+
+def _kernel_solve_cokernel(c):
+    """H_p by the transform route: rewrite the incoming boundary in a
+    kernel basis of the outgoing one, then take the cokernel."""
+    return tuple(
+        cokernel(solve_columns(kernel_basis(c.boundary(p)), c.boundary(p + 1)))
+        for p in range(c.k + 1)
+    )
+
+
+def _skeleton_complex(s):
+    return build(s.k, [m.transpose() for m in s.matrices], m=len(s.vertices))
+
+
+def _random_action(rng):
+    points = rng.randint(1, 8)
+    base = list(range(points))
+    rng.shuffle(base)
+    perms = []
+    for _ in range(rng.randint(1, 3)):
+        q = list(range(points))
+        for _ in range(rng.randint(0, points)):
+            q = [base[x] for x in q]
+        perms.append(tuple(q))
+    return ZkAction(points, tuple(perms))
+
+
+def test_homology_matches_the_kernel_solve_cokernel_route():
+    rng = random.Random("homology-cross-check")
+    for idx in range(120):
+        kind = idx % 4
+        if kind == 0:
+            k = rng.randint(1, 3)
+            c = build(k, checks._random_commuting_family(rng, k, rng.randint(1, 4)))
+        elif kind == 1:
+            c = _skeleton_complex(checks._random_skeleton(rng))
+        elif kind == 2:
+            a = checks._random_skeleton(rng, max_vertices=2, max_k=1)
+            b = checks._random_skeleton(rng, max_vertices=2)
+            c = _skeleton_complex(product(a, b))
+        else:
+            c = to_koszul(_random_action(rng))
+        assert homology(c).groups == _kernel_solve_cokernel(c), f"case {idx}"
+
+
 # --- the shift identity ----------------------------------------------------
 
 def test_shift_identity_on_hand_cycle():
@@ -118,6 +194,35 @@ def test_shift_identity_trivial_for_identity_endos():
     cycles = [(1, 0), (0, 1)]
     assert verify_shift_identity(c, 0, 0, cycles)
     assert verify_shift_identity(c, 1, 2, cycles)
+
+
+def test_shift_identity_agrees_with_integer_solving_on_random_spans():
+    # a hand-built rank-1 complex with boundary A and endomorphism id + M:
+    # shifting the unit cycle e_j yields column j of M, so the identity
+    # holds exactly when the columns of M lie in the integer span of A
+    rng = random.Random("span-membership")
+    outcomes = set()
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        r = rng.randint(0, m)
+        base = checks._random_matrix(rng, m, r, -3, 3)
+        a = rng.choice([1, 2, 3]) * base @ checks._random_matrix(rng, r, m, -2, 2)
+        if rng.random() < 0.3:
+            b = checks._random_matrix(rng, m, m, -4, 4)
+        else:
+            b = base @ checks._random_matrix(rng, r, m, -3, 3)
+        c = KoszulComplex(1, m, (IntMatrix.identity(m) + b,), (a,))
+        for j in range(m):
+            unit = [int(i == j) for i in range(m)]
+            column = IntMatrix(m, 1, [b[i, j] for i in range(m)])
+            try:
+                solve_columns(a, column)
+                expected = True
+            except NoIntegerSolution:
+                expected = False
+            assert verify_shift_identity(c, 0, 0, [unit]) is expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # --- randomized properties -------------------------------------------------
