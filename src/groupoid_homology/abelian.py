@@ -10,7 +10,17 @@ be compared with ==.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+
+
+def _exact_ints(values) -> list[int]:
+    """values as Python ints. Anything non-integral, bool included, is a
+    TypeError rather than being truncated or read as 0/1."""
+    values = list(values)
+    if bool in map(type, values):
+        raise TypeError("expected integers, got a bool")
+    return list(map(operator.index, values))
 
 
 def _divisibility_chain(orders) -> tuple[int, ...]:
@@ -22,8 +32,7 @@ def _divisibility_chain(orders) -> tuple[int, ...]:
     smaller member, so the passes terminate. Orders equal to 1 vanish.
     """
     t = []
-    for x in orders:
-        x = int(x)
+    for x in _exact_ints(orders):
         if x < 1:
             raise ValueError(f"cyclic order must be a positive integer, got {x}")
         if x > 1:
@@ -58,8 +67,9 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free_rank", int(self.free_rank))
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        free_rank, *torsion = _exact_ints((self.free_rank, *self.torsion))
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", tuple(torsion))
         if self.free_rank < 0:
             raise ValueError(f"free rank must be non-negative, got {self.free_rank}")
         prev = None

@@ -2,8 +2,9 @@
 
 Every net takes an explicit random.Random so a fixed seed reproduces the
 exact same cases on any platform. Failures are hard errors (a property
-that must hold was violated); findings are observations queued for human
-review (currently only product-versus-composition comparisons).
+that must hold was violated). Findings are disagreements listed for
+review, currently only product-versus-composition comparisons; Kunneth
+holds for these complexes as a theorem, so a finding fails the net too.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class NetResult:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.findings
 
     def line(self) -> str:
         unit = "pairs" if self.name == "kunneth" else "cases"
@@ -259,8 +260,8 @@ def _random_skeleton(rng: random.Random, max_vertices: int = 3,
 def kunneth_net(rng: random.Random, cases: int = 50) -> NetResult:
     """Direct product homology versus the tensor/Tor composition.
 
-    Disagreements are reported as findings (not failures) so a genuine
-    counterexample would surface for review instead of crashing the net.
+    Disagreements are listed as findings, each with its pair, so a
+    counterexample surfaces for review; any finding fails the net.
     """
     out = NetResult("kunneth", cases)
     for idx in range(cases):

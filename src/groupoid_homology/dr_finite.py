@@ -9,6 +9,7 @@ with the permutation matrices acting on the free module over the points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .abelian import TRIVIAL, HomologyProfile, direct_sum
 from .errors import DimensionMismatch, NonCommuting, NotBijective
@@ -73,23 +74,26 @@ def _commutation_finding(a: "ZkAction", i: int, j: int) -> str | None:
     return None
 
 
-def validate_action(a: ZkAction) -> list[str]:
-    """Semantic findings: non-bijective maps, then non-commuting pairs."""
-    findings = []
+def _findings(a: ZkAction):
+    """(exception type, finding) pairs, in validate_action's order."""
     bad = set()
     for i, p in enumerate(a.perms):
         f = _bijectivity_finding(i, p, a.points)
         if f:
-            findings.append(f)
             bad.add(i)
-    for i in range(a.k):
-        for j in range(i + 1, a.k):
-            if i in bad or j in bad:
-                continue
-            f = _commutation_finding(a, i, j)
-            if f:
-                findings.append(f)
-    return findings
+            yield NotBijective, f
+    for i, j in combinations(range(a.k), 2):
+        if i in bad or j in bad:
+            continue
+        f = _commutation_finding(a, i, j)
+        if f:
+            yield NonCommuting, f
+
+
+def validate_action(a: ZkAction) -> list[str]:
+    """Semantic findings: non-bijective maps, then non-commuting pairs
+    of bijective maps."""
+    return [f for _, f in _findings(a)]
 
 
 def _perm_matrix(p: tuple[int, ...], n: int) -> IntMatrix:
@@ -104,16 +108,10 @@ def to_koszul(a: ZkAction) -> KoszulComplex:
 
     Column y of the i-th endomorphism carries a single 1 in row
     perms[i][y], matching how a point mass at y is pushed forward.
+    Raises the first finding of validate_action.
     """
-    for i, p in enumerate(a.perms):
-        f = _bijectivity_finding(i, p, a.points)
-        if f:
-            raise NotBijective(f)
-    for i in range(a.k):
-        for j in range(i + 1, a.k):
-            f = _commutation_finding(a, i, j)
-            if f:
-                raise NonCommuting(f)
+    for exc, f in _findings(a):
+        raise exc(f)
     endos = [_perm_matrix(p, a.points) for p in a.perms]
     return build(a.k, endos, m=a.points)
 

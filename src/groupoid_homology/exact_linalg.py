@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import FgAbGroup
+from .abelian import FgAbGroup, _exact_ints
 from .errors import DimensionMismatch, NoIntegerSolution
 
 
@@ -63,7 +63,7 @@ class IntMatrix:
     __slots__ = ("_a",)
 
     def __init__(self, rows: int, cols: int, entries):
-        flat = [int(x) for x in entries]
+        flat = _exact_ints(entries)
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"bad shape ({rows}, {cols})")
         if len(flat) != rows * cols:

@@ -73,15 +73,7 @@ def validate(s: KGraphSkeleton) -> list[str]:
     has no color-i edge with that range (a source); those findings are
     suppressed when the skeleton allows sources.
     """
-    findings = []
-    n = len(s.vertices)
-    for i, m in enumerate(s.matrices):
-        for v in range(n):
-            for w in range(n):
-                if m[v, w] < 0:
-                    findings.append(
-                        f"matrices[{i}] entry ({v},{w}) is negative: {m[v, w]}"
-                    )
+    findings = _negative_findings(s)
     for i in range(s.k):
         for j in range(i + 1, s.k):
             p = s.matrices[i] @ s.matrices[j]
@@ -93,22 +85,25 @@ def validate(s: KGraphSkeleton) -> list[str]:
                     f"products differ at ({v},{w})"
                 )
     if not s.allow_sources:
-        for i, m in enumerate(s.matrices):
-            for v in range(n):
-                if not (m._a[v, :] != 0).any():
-                    findings.append(
-                        f"matrices[{i}] row {v} is zero: vertex "
-                        f"{s.vertices[v]!r} is a source in coordinate {i}"
-                    )
+        findings += [
+            f"matrices[{i}] row {v} is zero: vertex "
+            f"{s.vertices[v]!r} is a source in coordinate {i}"
+            for i, m in enumerate(s.matrices)
+            for v in _zero_rows(m)
+        ]
     return findings
 
 
-def _source_rows_exist(s: KGraphSkeleton) -> bool:
-    return any(
-        not (m._a[v, :] != 0).any()
-        for m in s.matrices
-        for v in range(len(s.vertices))
-    )
+def _negative_findings(s: KGraphSkeleton) -> list[str]:
+    return [
+        f"matrices[{i}] entry ({v},{w}) is negative: {m[v, w]}"
+        for i, m in enumerate(s.matrices)
+        for v, w in np.argwhere(m._a < 0).tolist()
+    ]
+
+
+def _zero_rows(m: IntMatrix) -> list[int]:
+    return np.flatnonzero(~(m._a != 0).any(axis=1)).tolist()
 
 
 def _require_valid(s: KGraphSkeleton) -> None:
@@ -131,7 +126,7 @@ def groupoid_homology(s: KGraphSkeleton) -> HomologyProfile:
 def _homology_of_valid(s: KGraphSkeleton) -> HomologyProfile:
     endos = [m.transpose() for m in s.matrices]
     notes = [f"rank-{s.k} vertex-matrix complex on {len(s.vertices)} vertices"]
-    if s.allow_sources and _source_rows_exist(s):
+    if s.allow_sources and any(_zero_rows(m) for m in s.matrices):
         notes.append(
             "warning: sources present (some vertex emits no edge in some "
             "coordinate); structural results assume none"
@@ -145,27 +140,21 @@ class KTheoryResult:
     """K_0 and K_1 of the groupoid C*-algebra, with provenance.
 
     method records which wiring produced the answer: "rank1" and
-    "rank2" are backed by structural results and carry hk_status
-    "verified-structurally"; "conjectural-k>=3" extrapolates the
-    even/odd homology pattern and carries hk_status "conjectural".
+    "rank2" are backed by structural results; "conjectural-k>=3"
+    extrapolates the even/odd homology pattern. hk_status is derived
+    from method, so the two cannot disagree.
     """
 
     k0: FgAbGroup
     k1: FgAbGroup
     method: str
-    hk_status: str
 
-    def __post_init__(self):
-        if self.method in ("rank1", "rank2"):
-            if self.hk_status != "verified-structurally":
-                raise ValueError(
-                    f"method {self.method} must be verified-structurally"
-                )
-        elif self.method == "conjectural-k>=3":
-            if self.hk_status != "conjectural":
-                raise ValueError("extrapolated K-theory must be marked conjectural")
-        else:
-            raise ValueError(f"unknown method {self.method!r}")
+    @property
+    def hk_status(self) -> str:
+        """conjectural for the conjectural-k>=3 method, else verified-structurally."""
+        if self.method == "conjectural-k>=3":
+            return "conjectural"
+        return "verified-structurally"
 
 
 def ktheory_from_profile(
@@ -181,19 +170,12 @@ def ktheory_from_profile(
     k = profile.k
     _rank_gate(k, allow_conjectural)
     if k == 1:
-        return KTheoryResult(
-            profile.groups[0], profile.groups[1], "rank1", "verified-structurally"
-        )
+        return KTheoryResult(profile.groups[0], profile.groups[1], "rank1")
     if k == 2:
         return KTheoryResult(
-            direct_sum(profile.groups[0], profile.groups[2]),
-            profile.groups[1],
-            "rank2",
-            "verified-structurally",
+            direct_sum(profile.groups[0], profile.groups[2]), profile.groups[1], "rank2"
         )
-    return KTheoryResult(
-        profile.even_sum(), profile.odd_sum(), "conjectural-k>=3", "conjectural"
-    )
+    return KTheoryResult(profile.even_sum(), profile.odd_sum(), "conjectural-k>=3")
 
 
 def _rank_gate(k: int, allow_conjectural: bool) -> None:
@@ -309,7 +291,7 @@ def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
         raise RankUnsupported(
             f"the underlying-graph computation applies to k = 1 only, got k = {s.k}"
         )
-    negative = [f for f in validate(s) if "negative" in f]
+    negative = _negative_findings(s)
     if negative:
         raise SkeletonInvalid(negative)
     m = s.matrices[0]

@@ -61,7 +61,10 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     sum over j of (-1)^(j+1) times (i_1 .. i_p with i_j removed,
     (id - S_{i_j}) v); for p = 1 this is just (id - S_{i_1}) v. The
     composition of consecutive boundaries is verified to vanish before
-    returning, so a sign or indexing mistake fails loudly at build time.
+    returning. In degree 2 this is the commutation check: column block
+    (i, j) of the composite is S_j S_i - S_i S_j, and the first nonzero
+    block is raised as NonCommuting. In higher degrees it guards the
+    assembly against sign and indexing mistakes (BrokenComplex).
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
@@ -82,10 +85,6 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
             )
     if m is not None and int(m) != m0:
         raise DimensionMismatch(f"m={m} disagrees with endomorphism size {m0}")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if endos[i] @ endos[j] != endos[j] @ endos[i]:
-                raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
 
     diffs = [IntMatrix.identity(m0) - s for s in endos]
     neg_diffs = [-d for d in diffs]
@@ -104,7 +103,12 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
 
     c = KoszulComplex(k, m0, endos, tuple(boundaries))
     for p in range(2, k + 1):
-        if not (c.boundary(p - 1) @ c.boundary(p)).is_zero():
+        dd = (c.boundary(p - 1) @ c.boundary(p))._a
+        blocks = np.flatnonzero((dd != 0).any(axis=0)) // m0
+        if blocks.size and p == 2:
+            i, j = list(combinations(range(k), 2))[blocks[0]]
+            raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
+        if blocks.size:
             raise BrokenComplex(
                 f"boundaries in degrees {p - 1} and {p} do not compose to zero"
             )

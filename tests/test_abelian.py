@@ -43,6 +43,18 @@ def test_from_orders_rejects_nonpositive():
         FgAbGroup.from_orders(0, [0])
 
 
+def test_from_orders_refuses_non_integral_orders():
+    for orders in ([2.9], [True], [2, "3"]):
+        with pytest.raises(TypeError):
+            FgAbGroup.from_orders(0, orders)
+
+
+def test_constructor_refuses_non_integral_values():
+    for free_rank, torsion in ((2.5, ()), (True, ()), (0, (2.0,)), (0, (False,))):
+        with pytest.raises(TypeError):
+            FgAbGroup(free_rank, torsion)
+
+
 def test_describe_strings():
     assert TRIVIAL.describe() == "0"
     assert Z.describe() == "Z"

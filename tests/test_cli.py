@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import groupoid_homology
+from groupoid_homology import checks
 from groupoid_homology.cli import main
 
 TWO_VERTEX = {
@@ -207,6 +208,17 @@ def test_check_is_deterministic_for_a_seed(capsys):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert out1.strip().endswith("check: PASS (seed 5)")
+
+
+def test_check_fails_on_kunneth_findings(capsys, monkeypatch):
+    def one_finding(rng, cases):
+        return checks.NetResult("kunneth", cases, findings=["pair 0: planted"])
+
+    monkeypatch.setattr(checks, "kunneth_net", one_finding)
+    rc, out, _ = run(capsys, ["check", "--seed", "5", "--cases", "3"])
+    assert rc == 1
+    assert "kunneth: 3 pairs, 0 failures, 1 findings" in out
+    assert out.strip().splitlines()[-1] == "check: FAIL (seed 5)"
 
 
 def test_check_seed_env_override(capsys, monkeypatch):

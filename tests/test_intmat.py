@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -34,6 +35,12 @@ def matrices(draw, max_dim=5, max_entry=40):
 def test_entry_count_must_match_shape():
     with pytest.raises(DimensionMismatch):
         IntMatrix(2, 2, [1, 2, 3])
+
+
+def test_non_integral_entries_are_refused_not_truncated():
+    for entries in ([2.7, 1], [2, True], [Fraction(4, 2), 1]):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, entries)
 
 
 def test_ragged_rows_rejected():

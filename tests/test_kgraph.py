@@ -14,7 +14,6 @@ from groupoid_homology.errors import (
 from groupoid_homology.exact_linalg import IntMatrix, cokernel, kernel_basis
 from groupoid_homology.kgraph import (
     KGraphSkeleton,
-    KTheoryResult,
     cubical_homology_rank1,
     groupoid_homology,
     hk_report,
@@ -57,6 +56,21 @@ def test_zero_row_is_a_source_finding_unless_allowed():
     assert any("source" in f for f in validate(sk))
     relaxed = KGraphSkeleton(("v", "w"), (m,), allow_sources=True)
     assert validate(relaxed) == []
+
+
+def test_findings_keep_their_text_and_order():
+    sk = KGraphSkeleton(("a", "b", "c"), (
+        IntMatrix.from_rows([[0, -1, 0], [0, 0, 0], [2, 0, -3]]),
+        IntMatrix.from_rows([[-4, 0, 0], [0, 0, 0], [0, 5, 0]]),
+    ))
+    assert validate(sk) == [
+        "matrices[0] entry (0,1) is negative: -1",
+        "matrices[0] entry (2,2) is negative: -3",
+        "matrices[1] entry (0,0) is negative: -4",
+        "matrices[0] and matrices[1] do not commute: products differ at (0,1)",
+        "matrices[0] row 1 is zero: vertex 'b' is a source in coordinate 0",
+        "matrices[1] row 1 is zero: vertex 'b' is a source in coordinate 1",
+    ]
 
 
 def test_homology_refuses_invalid_skeletons():
@@ -150,13 +164,6 @@ def test_ktheory_validates_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_ktheory_result_rejects_mislabeled_status():
-    with pytest.raises(ValueError):
-        KTheoryResult(Z, Z, "rank1", "conjectural")
-    with pytest.raises(ValueError):
-        KTheoryResult(Z, Z, "conjectural-k>=3", "verified-structurally")
-
-
 # --- single-vertex closed form ----------------------------------------------
 
 def test_closed_form_small_cases():
@@ -244,6 +251,17 @@ def test_cubical_cost_does_not_grow_with_edge_multiplicity():
 def test_cubical_gate_for_higher_rank():
     with pytest.raises(RankUnsupported):
         cubical_homology_rank1(RANK2_35)
+
+
+def test_cubical_refuses_only_negative_entries():
+    # row 1 is zero (a source), which the underlying graph tolerates
+    m = IntMatrix.from_rows([[0, -1, 0], [0, 0, 0], [-2, 1, 1]])
+    with pytest.raises(SkeletonInvalid) as exc:
+        cubical_homology_rank1(KGraphSkeleton(("a", "b", "c"), (m,)))
+    assert exc.value.findings == [
+        "matrices[0] entry (0,1) is negative: -1",
+        "matrices[0] entry (2,0) is negative: -2",
+    ]
 
 
 def test_cubical_counts_components():

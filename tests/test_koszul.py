@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from groupoid_homology import checks
+from groupoid_homology import checks, koszul
 from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.dr_finite import ZkAction, to_koszul
 from groupoid_homology.errors import (
@@ -84,6 +84,43 @@ def test_noncommuting_pair_rejected():
     b = IntMatrix.from_rows([[1, 0], [1, 1]])
     with pytest.raises(NonCommuting):
         build(2, [a, b])
+
+
+def test_noncommuting_family_names_the_first_pair():
+    rng = random.Random(7)
+    tested = 0
+    while tested < 40:
+        k, m = rng.randint(2, 3), rng.randint(1, 4)
+        fam = checks._random_commuting_family(rng, k, m)
+        fam[rng.randrange(k)] = checks._random_matrix(rng, m, m, -2, 2)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)
+                 if fam[i] @ fam[j] != fam[j] @ fam[i]]
+        if not pairs:
+            continue
+        i, j = pairs[0]
+        with pytest.raises(NonCommuting) as exc:
+            build(k, fam)
+        assert str(exc.value) == f"endomorphisms {i} and {j} do not commute"
+        tested += 1
+
+
+def test_degree3_composite_guards_the_assembly(monkeypatch):
+    # simulate an indexing slip: the degree-3 boundary lists its rows (the
+    # 2-subsets) in reverse, so d_1 d_2 = 0 but d_2 d_3 != 0
+    real = koszul.combinations
+    pair_calls = []
+
+    def slipped(items, r):
+        out = list(real(items, r))
+        if r == 2:
+            pair_calls.append(r)
+            if len(pair_calls) == 2:
+                out.reverse()
+        return out
+
+    monkeypatch.setattr(koszul, "combinations", slipped)
+    with pytest.raises(BrokenComplex, match="degrees 2 and 3"):
+        build(3, one_by_one(2, 3, 5))
 
 
 def test_rank0_needs_explicit_dimension():

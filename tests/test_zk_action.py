@@ -53,6 +53,19 @@ def test_noncommuting_pair_names_a_witness_point():
     assert any("commute" in f and "point" in f for f in findings)
 
 
+def test_findings_skip_pairs_with_a_non_bijective_map():
+    # map 0 is not a bijection, so only the pair (1, 2) is compared
+    action = ZkAction(3, ((0, 0, 1), (1, 2, 0), (1, 0, 2)))
+    assert validate_action(action) == [
+        "permutations[0] is not a bijection: value 2 is never hit "
+        "(a self-map of a finite set is bijective exactly when it is surjective)",
+        "permutations[1] and permutations[2] do not commute: "
+        "they disagree on point 0",
+    ]
+    with pytest.raises(NotBijective, match=r"^permutations\[0\] is not"):
+        to_koszul(action)
+
+
 def test_complex_construction_refuses_bad_actions():
     with pytest.raises(NotBijective):
         to_koszul(ZkAction(2, ((0, 0),)))
