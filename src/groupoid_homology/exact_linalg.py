@@ -15,6 +15,9 @@ call.
 
 Storage is a read-only numpy object array: entries stay honest Python
 ints while row and column operations run as single vectorized calls.
+Each clearing pass of the Smith reduction and each Bareiss step of det
+is one rank-1 update of the trailing block (an outer product of the
+pivot column and row), with no loop over entries, rows or columns.
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ def _obj_zeros(rows: int, cols: int):
 
 def _obj_identity(n: int):
     a = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        a[i, i] = 1
+    np.fill_diagonal(a, 1)
     return a
 
 
@@ -158,7 +160,8 @@ class IntMatrix:
         return IntMatrix._wrap(-self._a)
 
     def __rmul__(self, scalar: int) -> "IntMatrix":
-        return IntMatrix._wrap(int(scalar) * self._a)
+        (scalar,) = _exact_ints((scalar,))
+        return IntMatrix._wrap(scalar * self._a)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix._wrap(np.kron(self._a, other._a))
@@ -298,30 +301,19 @@ def _pick_pivot(D, t, stats):
     return t + idx // bcols, t + idx % bcols
 
 
-def _nearest_quotient(x: int, p: int) -> int:
-    # p > 0; remainder x - q*p lies in [-p/2, p/2]
-    return (x + (p >> 1)) // p
-
-
-def _first_nondivisible_row(D, t, p):
-    """First row > t whose block entries are not all divisible by p."""
-    if p == 1:
-        return None
-    rows, cols = D.shape
-    for i in range(t + 1, rows):
-        if ((D[i, t + 1:] % p) != 0).any():
-            return i
-    return None
-
-
 def _smithify(D, want_u: bool, want_v: bool):
     """Reduce D in place to Smith form; return (diagonal, U, V).
 
     Pivoting: the nonzero entry of least absolute value in the remaining
-    block, ties broken by lowest (row, col). Row and column clearing use
-    nearest-integer quotients so remainders stay at most half the pivot.
-    Before a pivot is frozen it is forced to divide every entry of the
-    remaining block, which yields the divisibility chain.
+    block, ties broken by lowest (row, col). Each clearing pass is one
+    rank-1 update with nearest-integer quotients q, so remainders stay at
+    most half the pivot p: the row pass subtracts outer(q, row t) from
+    the rows below, the column pass outer(column t, q) from the columns
+    to the right. The row pass reads only row t and never writes it, and
+    the column pass likewise for column t, so clearing one row or column
+    at a time in any order gives the same matrix. Before a pivot is
+    frozen it is forced to divide every entry of the remaining block,
+    which yields the divisibility chain.
     """
     rows, cols = D.shape
     U = _obj_identity(rows) if want_u else None
@@ -350,35 +342,27 @@ def _smithify(D, want_u: bool, want_v: bool):
                 if want_u:
                     U[t, :] = -U[t, :]
             p = int(D[t, t])
-            dirty = False
-            for i in range(t + 1, rows):
-                x = int(D[i, t])
-                if x:
-                    q = _nearest_quotient(x, p)
-                    if q:
-                        D[i, t:] -= q * D[t, t:]
-                        if want_u:
-                            U[i, :] -= q * U[t, :]
-                    if D[i, t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                x = int(D[t, j])
-                if x:
-                    q = _nearest_quotient(x, p)
-                    if q:
-                        D[t:, j] -= q * D[t:, t]
-                        if want_v:
-                            V[:, j] -= q * V[:, t]
-                    if D[t, j]:
-                        dirty = True
-            if dirty:
+            q = (D[t + 1:, t] + (p >> 1)) // p
+            r = np.flatnonzero(q)
+            D[t + 1 + r, t:] -= np.outer(q[r], D[t, t:])
+            if want_u:
+                U[t + 1 + r, :] -= np.outer(q[r], U[t, :])
+            q = (D[t, t + 1:] + (p >> 1)) // p
+            c = np.flatnonzero(q)
+            D[t:, t + 1 + c] -= np.outer(D[t:, t], q[c])
+            if want_v:
+                V[:, t + 1 + c] -= np.outer(V[:, t], q[c])
+            if D[t + 1:, t].any() or D[t, t + 1:].any():
                 pos = _pick_pivot(D, t, stats)
                 continue
-            off = _first_nondivisible_row(D, t, p)
-            if off is None:
+            if p == 1:  # divides everything; skips an O(n^2) test per pivot
                 break
-            # Fold the offending row into the pivot row; the next clearing
-            # pass leaves a remainder strictly smaller than the pivot.
+            off = np.flatnonzero((D[t + 1:, t + 1:] % p != 0).any(axis=1))
+            if not off.size:
+                break
+            # Fold the first offending row into the pivot row; the next
+            # clearing pass leaves a remainder strictly smaller than p.
+            off = t + 1 + int(off[0])
             D[t, t:] += D[off, t:]
             if want_u:
                 U[t, :] += U[off, :]
@@ -501,10 +485,9 @@ def det(a: IntMatrix) -> int:
             else:
                 return 0
         piv = M[t, t]
-        for i in range(t + 1, n):
-            f = M[i, t]
-            M[i, t + 1:] = (piv * M[i, t + 1:] - f * M[t, t + 1:]) // prev
-            M[i, t] = 0
+        M[t + 1:, t + 1:] = (
+            piv * M[t + 1:, t + 1:] - np.outer(M[t + 1:, t], M[t, t + 1:])
+        ) // prev
         prev = piv
     return sign * int(M[n - 1, n - 1])
 

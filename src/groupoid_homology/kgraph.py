@@ -27,7 +27,7 @@ from .errors import (
     RankUnsupported,
     SkeletonInvalid,
 )
-from .exact_linalg import IntMatrix, cokernel
+from .exact_linalg import IntMatrix, _obj_zeros, cokernel
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import build, homology
 
@@ -297,20 +297,13 @@ def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
     m = s.matrices[0]
     n = len(s.vertices)
     edges = sum(m.entries)
-    cols = []
-    for v in range(n):
-        for w in range(n):
-            if v != w and m[v, w]:
-                col = [0] * n
-                col[w] = 1
-                col[v] = -1
-                cols.append(col)
-    incidence = (
-        IntMatrix.from_rows(cols).transpose()
-        if cols
-        else IntMatrix.zeros(n, 0)
-    )
-    h0 = cokernel(incidence)
+    # one column per ordered pair v != w with an edge, in row-major order
+    v, w = np.nonzero((m._a != 0) & ~np.eye(n, dtype=bool))
+    cols = np.arange(v.size)
+    incidence = _obj_zeros(n, v.size)
+    incidence[w, cols] = 1
+    incidence[v, cols] = -1
+    h0 = cokernel(IntMatrix._wrap(incidence))
     if h0.torsion:
         raise BrokenComplex("graph incidence cokernel acquired torsion")
     h1 = FgAbGroup.free(edges - (n - h0.free_rank))

@@ -17,7 +17,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .abelian import FgAbGroup, HomologyProfile
+from .abelian import FgAbGroup, HomologyProfile, _exact_ints
 from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
 from .exact_linalg import IntMatrix, _obj_zeros, cokernel, invariant_factors
 # unused here, but perfbench/tracing.py wraps these two at this module by name
@@ -152,7 +152,7 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
 def _as_column_matrix(vectors, n: int) -> IntMatrix:
     cols = []
     for z in vectors:
-        z = [int(x) for x in z]
+        z = _exact_ints(z)
         if len(z) != n:
             raise DimensionMismatch(f"cycle has length {len(z)}, expected {n}")
         cols.append(z)
@@ -184,15 +184,12 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     Z = _as_column_matrix(cycles, c.dim(p))
     if Z.cols == 0:
         return True
-    bd = c.boundary(p) @ Z
-    if not bd.is_zero():
-        bad = [j for j in range(Z.cols) if (bd._a[:, j] != 0).any()]
+    bad = np.flatnonzero(((c.boundary(p) @ Z)._a != 0).any(axis=0))
+    if bad.size:
         raise NotACycle(f"input {bad[0]} is not a degree-{p} cycle")
-    S = c.endos[i]._a
-    m = c.m
-    W = np.empty_like(Z._a)
-    for b in range(comb(c.k, p)):
-        W[b * m:(b + 1) * m, :] = np.dot(S, Z._a[b * m:(b + 1) * m, :])
+    # (id (x) S_i) applied to every base block at once
+    blocks = Z._a.reshape(comb(c.k, p), c.m, Z.cols)
+    W = np.matmul(c.endos[i]._a, blocks).reshape(Z.shape)
     a = c.boundary(p + 1)
     return _span_index(a) == _span_index(IntMatrix._wrap(np.hstack([a._a, W - Z._a])))
 

@@ -65,9 +65,12 @@ def _parse_kgraph(obj: dict) -> KGraphSkeleton:
     vertices = _as_list(_require_key(obj, "vertices"), "vertices")
     if not vertices:
         raise SchemaError("vertices: need at least one vertex label")
+    first = {}
     for idx, v in enumerate(vertices):
         if not isinstance(v, str):
             raise SchemaError(f"vertices[{idx}]: expected a string, got {v!r}")
+        if first.setdefault(v, idx) != idx:
+            raise SchemaError(f"vertices[{idx}]: duplicate label {v!r}")
     n = len(vertices)
     matrices = _as_list(_require_key(obj, "matrices"), "matrices")
     if len(matrices) != k:

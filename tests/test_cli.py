@@ -161,6 +161,16 @@ def test_wrong_instance_kind_is_a_schema_failure(capsys, tmp_path):
     assert "kgraph" in json.loads(err)["error"]["message"]
 
 
+def test_duplicate_vertex_labels_are_a_schema_failure(capsys, tmp_path):
+    dup = {"kind": "kgraph", "k": 1, "vertices": ["v", "w", "v"],
+           "matrices": [[1, 1, 0, 0, 1, 1, 1, 0, 1]]}
+    rc, out, err = run(capsys, ["homology", write(tmp_path, "g.json", dup)])
+    assert rc == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "SchemaError"
+    assert payload["message"].startswith("vertices[2]: duplicate label 'v'")
+
+
 def test_invalid_skeleton_fails_with_findings(capsys, tmp_path):
     bad = {"kind": "kgraph", "k": 1, "vertices": ["v"], "matrices": [[-2]]}
     path = write(tmp_path, "g.json", bad)

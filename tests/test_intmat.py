@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from groupoid_homology.checks import perf_skeleton
 from groupoid_homology.errors import DimensionMismatch, NoIntegerSolution
 from groupoid_homology.exact_linalg import (
     IntMatrix,
@@ -19,6 +22,7 @@ from groupoid_homology.exact_linalg import (
     track_entry_growth,
     xgcd,
 )
+from groupoid_homology.kgraph import groupoid_homology
 
 
 @st.composite
@@ -68,6 +72,13 @@ def test_arithmetic_matches_hand_computation():
     assert (a - b).to_rows() == [[1, 1], [2, 4]]
     assert (2 * a).to_rows() == [[2, 4], [6, 8]]
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
+
+
+def test_non_integral_scalars_are_refused_not_truncated():
+    a = IntMatrix(1, 1, [2])
+    for scalar in (2.5, True, Fraction(4, 2)):
+        with pytest.raises(TypeError):
+            scalar * a
 
 
 def test_kron_block_layout():
@@ -136,6 +147,51 @@ def test_snf_transform_identity(a):
 def test_snf_is_deterministic(a):
     first, second = snf(a), snf(a)
     assert first.d == second.d and first.u == second.u and first.v == second.v
+
+
+def _pinned_matrix(seed, rows, cols, kind):
+    rng = random.Random(f"snf-pin/{seed}")
+    draw = {
+        "dense": lambda: rng.randint(-100, 100),
+        "sparse": lambda: rng.randint(-9, 9) if rng.random() < 0.2 else 0,
+        "unit": lambda: rng.choice((-1, 1)) if rng.random() < 0.3 else 0,
+        "huge": lambda: rng.randint(-10**30, 10**30),
+    }[kind]
+    return IntMatrix(rows, cols, [draw() for _ in range(rows * cols)])
+
+
+# sha256 of the diagonal, both transforms, the kernel basis (the V-only
+# reduction) and the growth records, as the original row-by-row clearing
+# loop computed them; the reduction must reproduce every bit
+SNF_DIGESTS = {
+    (0, 6, 6, "dense"): "86f1b8a5be746e17a7272bd8d1d2aba41688ee69875099564b8e78b7bc5afdea",
+    (1, 9, 4, "dense"): "f9d277b89f81839417ea6db10134d9de7550ca9022261b70552fc583c471099d",
+    (2, 4, 9, "dense"): "1a6d3d430d3ba174d024f7926d2934ef1ccb83e2df307d255cc108d2bbdd6e1e",
+    (3, 20, 20, "dense"): "0ab85f1bd882add67995624b0b6867a0878926a47d7c2bdbaa4bb5768c350955",
+    (4, 12, 12, "sparse"): "7c2100d78db672563b2ab3488800b758d60f64142604089f22e2f3a7fae3d0a1",
+    (5, 15, 10, "sparse"): "be89098c8ebed06ffc06c03d2f9101c28a9325c64ac57fa6478a0e16bf9f9200",
+    (6, 14, 14, "unit"): "d96e092ee762e08aff0208883b463c37d0c53912827d9a1fa36533f123473e26",
+    (7, 10, 16, "unit"): "6aa24785263b87c9c321fedfe20bf1d4950cb195bd2bea7ad3489e888efbbb5e",
+    (8, 5, 5, "huge"): "72ff13dd99d9974a025e5d5bb3c01f9fffb216d9b89c77a4bf1b2ab8027c8822",
+    (9, 1, 7, "dense"): "1288315a9f9ac55f3bc23eac2caaede84182deab8be1017b784a761cbbd89a1d",
+    (10, 8, 1, "huge"): "b4965104052c50186cfa7cadfe69b774e3a0b3b10584bcffdb40d6dea15e7f39",
+    (11, 0, 0, "dense"): "42f4e92c03966b3ec824b33d917025266cdedcad2a6b115fc539a55755145dd3",
+    (12, 0, 4, "dense"): "41e461f68fab0b8fdc3de45069fb9ab8ee042424da90a6d2e19d649219d4b39b",
+    (13, 3, 0, "dense"): "b759d377284c2fe7a5fbf94f0d68d231268b92d36b2d86a4f030912d1410e46b",
+}
+
+
+def _snf_digest(a):
+    with track_entry_growth() as stats:
+        res = snf(a)
+        kernel = kernel_basis(a)
+    record = (res.d, res.u.entries, res.v.entries, kernel.entries, stats.reductions)
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SNF_DIGESTS))
+def test_snf_reproduces_pinned_transforms(case):
+    assert _snf_digest(_pinned_matrix(*case)) == SNF_DIGESTS[case]
 
 
 def test_invariant_factors_agree_with_snf():
@@ -283,6 +339,32 @@ def test_det_is_multiplicative(a, b):
     assert det(a @ b) == det(a) * det(b)
 
 
+def _leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_the_permutation_sum():
+    rng = random.Random(17)
+    for idx in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(n)]
+        if idx % 3 == 0:
+            # a zero leading pivot forces the row swap (and its sign)
+            rows[0][0] = 0
+        if idx % 7 == 0 and n > 1:
+            rows[-1] = list(rows[0])
+        assert det(IntMatrix.from_rows(rows)) == _leibniz(rows), rows
+
+
 # --- growth tracking ------------------------------------------------------
 
 def test_growth_tracker_records_reductions():
@@ -294,3 +376,11 @@ def test_growth_tracker_records_reductions():
     assert len(stats.reductions) == 2
     assert all(inp <= peak for _, _, inp, peak in stats.reductions)
     assert stats.worst_ratio >= 1.0
+
+
+def test_growth_records_of_the_perf_skeleton_are_pinned():
+    # [rows, cols, input bits, peak bits] of each boundary's reduction
+    with track_entry_growth() as stats:
+        groupoid_homology(perf_skeleton(0, 40))
+    assert stats.reductions == [[40, 80, 4, 77], [80, 40, 4, 75], [40, 0, 0, 0]]
+    assert stats.peak_bits == 77

@@ -226,6 +226,19 @@ def test_shift_identity_rejects_non_cycles():
         verify_shift_identity(c, 0, 1, [(1, 0)])
 
 
+def test_shift_identity_names_the_first_non_cycle():
+    c = build(2, one_by_one(3, 5))
+    with pytest.raises(NotACycle, match=r"^input 1 is not a degree-1 cycle$"):
+        verify_shift_identity(c, 0, 1, [(2, -1), (1, 0), (0, 1)])
+
+
+def test_shift_identity_refuses_non_integral_cycles():
+    c = build(1, one_by_one(1))
+    for cycle in ([2.7], [True], ["2"]):
+        with pytest.raises(TypeError):
+            verify_shift_identity(c, 0, 0, [cycle])
+
+
 def test_shift_identity_trivial_for_identity_endos():
     c = build(2, [IntMatrix.identity(2)] * 2)
     cycles = [(1, 0), (0, 1)]

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -20,3 +21,13 @@ def test_rank3_hunt_runs_and_reports_its_tally():
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.strip().splitlines()[-1]
     assert re.fullmatch(r"hunt: 3 products, \d+ candidates \(seed 0\)", last)
+
+
+def test_benchmark_tracer_wraps_names_that_exist(monkeypatch):
+    # perfbench/tracing.py replaces these module attributes by name; a
+    # refactor that moves or drops one would break traced benchmark runs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    assert tracing.WRAPPED
+    for module, attr, *_ in tracing.WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
