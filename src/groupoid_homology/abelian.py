@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -51,6 +53,25 @@ def _divisibility_chain(orders) -> tuple[int, ...]:
         if changed:
             t.sort()
     return tuple(x for x in t if x > 1)
+
+
+@contextmanager
+def _all_digits():
+    """Lift the int-to-string digit limit while output is rendered.
+
+    Results can be longer than their inputs (a 5,000-digit order from
+    2,500-digit entries), so only parsing keeps the limit. Pythons
+    before 3.10.7 have no limit to lift.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)
@@ -107,7 +128,8 @@ class FgAbGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z_{d}" for d in self.torsion)
+        with _all_digits():
+            parts.extend(f"Z_{d}" for d in self.torsion)
         return " (+) ".join(parts) if parts else "0"
 
     def __repr__(self):

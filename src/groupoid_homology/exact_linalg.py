@@ -18,6 +18,12 @@ ints while row and column operations run as single vectorized calls.
 Each clearing pass of the Smith reduction and each Bareiss step of det
 is one rank-1 update of the trailing block (an outer product of the
 pivot column and row), with no loop over entries, rows or columns.
+
+cokernel alone splits its matrix into the connected blocks of its
+support and reduces each block on its own: up to row and column order
+the matrix is block diagonal, so its cokernel is the direct sum of
+theirs. The other functions reduce the whole matrix, which keeps them
+a dense reference for that split.
 """
 
 from __future__ import annotations
@@ -418,12 +424,49 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix._wrap(np.array(V[:, r:], dtype=object))
 
 
+def _blocks(a) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Connected components of the bipartite support graph of a.
+
+    Rows and columns are the vertices and nonzero entries the edges.
+    Each component is (row indices, column indices), both ascending,
+    grown from its first row one frontier at a time; components come in
+    order of first row. Zero rows and columns belong to no component.
+    """
+    support = a != 0
+    todo = support.any(axis=1)
+    blocks = []
+    while todo.any():
+        rows = np.zeros(support.shape[0], dtype=bool)
+        cols = np.zeros(support.shape[1], dtype=bool)
+        new_rows = rows.copy()
+        new_rows[todo.argmax()] = True
+        while new_rows.any():
+            rows |= new_rows
+            new_cols = support[new_rows].any(axis=0) & ~cols
+            cols |= new_cols
+            new_rows = support[:, new_cols].any(axis=1) & ~rows
+        todo &= ~rows
+        blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+    return blocks
+
+
 def cokernel(a: IntMatrix) -> FgAbGroup:
     """Z^rows modulo the column span of a.
 
     Free rank is rows - rank; the invariant factors > 1 are the torsion.
+    When the support of a has two or more connected blocks (_blocks),
+    each block's submatrix is reduced on its own: a is block diagonal
+    up to row and column order, so its cokernel is the direct sum of
+    the blocks' cokernels and a Z per zero row. from_orders renormalizes
+    the torsion of all blocks (Z_2 from one block and Z_3 from another
+    give Z_6). A matrix with fewer blocks is reduced whole.
     """
-    diag = invariant_factors(a)
+    blocks = _blocks(a._a)
+    if len(blocks) < 2:
+        diag = invariant_factors(a)
+    else:
+        diag = [x for rows, cols in blocks
+                for x in _smithify(a._a[np.ix_(rows, cols)], False, False)[0]]
     r = sum(1 for x in diag if x)
     return FgAbGroup.from_orders(a.rows - r, [x for x in diag if x > 1])
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints
 from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
-from .exact_linalg import IntMatrix, _obj_zeros, cokernel, invariant_factors
+from .exact_linalg import IntMatrix, _blocks, _obj_zeros, cokernel, invariant_factors
 # unused here, but perfbench/tracing.py wraps these two at this module by name
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
@@ -64,7 +64,10 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     returning. In degree 2 this is the commutation check: column block
     (i, j) of the composite is S_j S_i - S_i S_j, and the first nonzero
     block is raised as NonCommuting. In higher degrees it guards the
-    assembly against sign and indexing mistakes (BrokenComplex).
+    assembly against sign and indexing mistakes (BrokenComplex). Each
+    composite is formed one connected block of the degree-p boundary at
+    a time (_composite); it equals the dense product entry for entry, so
+    both checks see the same matrix and name the same pair.
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
@@ -103,7 +106,7 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
 
     c = KoszulComplex(k, m0, endos, tuple(boundaries))
     for p in range(2, k + 1):
-        dd = (c.boundary(p - 1) @ c.boundary(p))._a
+        dd = _composite(c.boundary(p - 1)._a, c.boundary(p)._a)
         blocks = np.flatnonzero((dd != 0).any(axis=0)) // m0
         if blocks.size and p == 2:
             i, j = list(combinations(range(k), 2))[blocks[0]]
@@ -113,6 +116,21 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
                 f"boundaries in degrees {p - 1} and {p} do not compose to zero"
             )
     return c
+
+
+def _composite(a, b):
+    """The product a @ b, formed over the connected blocks of b.
+
+    A block's columns of b are zero outside the block's rows, so only
+    those columns of a, and only the rows of a that are nonzero there,
+    enter that part of the product; zero columns of b give zero columns.
+    """
+    out = _obj_zeros(a.shape[0], b.shape[1])
+    support = a != 0
+    for rows, cols in _blocks(b):
+        live = np.flatnonzero(support[:, rows].any(axis=1))
+        out[np.ix_(live, cols)] = np.dot(a[np.ix_(live, rows)], b[np.ix_(rows, cols)])
+    return out
 
 
 def homology(c: KoszulComplex, notes=()) -> HomologyProfile:

@@ -19,14 +19,16 @@ per color. Output payloads follow
 with keys always emitted in exactly that order ("ktheory" only when the
 command computed it). All emission is UTF-8 JSON with two-space indent
 and no trailing whitespace, so byte-identical inputs give byte-identical
-outputs.
+outputs. Integers are emitted exactly however long they are; only
+parsing keeps Python's limit on the digits of an integer literal.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
-from .abelian import FgAbGroup, HomologyProfile
+from .abelian import FgAbGroup, HomologyProfile, _all_digits
 from .dr_finite import ZkAction
 from .errors import SchemaError
 from .exact_linalg import IntMatrix
@@ -145,6 +147,13 @@ def load_instance(path: str) -> KGraphSkeleton | ZkAction:
         raise SchemaError(
             f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except ValueError as e:
+        # json.loads raises no other ValueError: an integer literal has
+        # more digits than the interpreter converts from a string
+        raise SchemaError(
+            f"{path}: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from e
     return parse_instance(obj)
 
 
@@ -196,7 +205,8 @@ def output_dict(
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+    with _all_digits():
+        return json.dumps(obj, indent=2, ensure_ascii=False)
 
 
 def _render_group_dict(d: dict) -> str:

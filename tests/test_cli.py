@@ -171,6 +171,48 @@ def test_duplicate_vertex_labels_are_a_schema_failure(capsys, tmp_path):
     assert payload["message"].startswith("vertices[2]: duplicate label 'v'")
 
 
+def test_overlong_integer_literal_is_a_schema_failure(capsys, tmp_path):
+    # 5,001 digits is past the interpreter's 4,300-digit parsing limit
+    path = tmp_path / "g.json"
+    path.write_text('{"kind": "kgraph", "k": 1, "vertices": ["v"], '
+                    '"matrices": [[' + "7" * 5001 + ']]}')
+    rc, out, err = run(capsys, ["homology", str(path)])
+    assert rc == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "SchemaError"
+    assert payload["message"] == (
+        f"{path}: an integer literal has more than {sys.get_int_max_str_digits()} digits"
+    )
+    # a syntax error keeps its own message
+    path.write_text('{"kind": "kgraph",,}')
+    rc, _, err = run(capsys, ["homology", str(path)])
+    assert rc == 2
+    assert json.loads(err)["error"]["message"].startswith(f"{path}: invalid JSON at line 1")
+
+
+def test_results_longer_than_the_parsing_limit_print_exactly(capsys, tmp_path):
+    # H_0 of [[A, 1], [1, A]] is Z_{det(1 - M)} = Z_{A(A - 2)}; with
+    # A = 10^2500 that order is 10^5000 - 2 * 10^2500, 5,000 digits
+    a = 10**2500
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "kgraph", "k": 1, "vertices": ["u", "v"], '
+                    f'"matrices": [[{a}, 1, 1, {a}]]}}')
+    order = "9" * 2499 + "8" + "0" * 2500
+    limit = sys.get_int_max_str_digits()
+    rc, out, _ = run(capsys, ["homology", str(path)])
+    assert rc == 0
+    assert json.loads(out, parse_int=str)["homology"] == [
+        {"rank": "0", "torsion": [order]}, {"rank": "0", "torsion": []}]
+    rc, out, _ = run(capsys, ["homology", str(path), "--text"])
+    assert rc == 0
+    assert out.splitlines()[1] == f"H_0 = Z_{order}"
+    rc, out, _ = run(capsys, ["hk-report", str(path)])
+    assert rc == 0
+    assert json.loads(out, parse_int=str)["ktheory"]["k0"]["torsion"] == [order]
+    # emission lifts the limit only while it prints
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_invalid_skeleton_fails_with_findings(capsys, tmp_path):
     bad = {"kind": "kgraph", "k": 1, "vertices": ["v"], "matrices": [[-2]]}
     path = write(tmp_path, "g.json", bad)

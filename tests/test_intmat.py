@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 from groupoid_homology.checks import perf_skeleton
+from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.errors import DimensionMismatch, NoIntegerSolution
 from groupoid_homology.exact_linalg import (
     IntMatrix,
+    _blocks,
     cokernel,
     det,
     invariant_factors,
@@ -291,6 +293,68 @@ def test_cokernel_invariant_under_elementary_ops(a, data):
         elif a.rows >= 1 and a.cols >= 1 and kind == "negate":
             rows[0] = [-x for x in rows[0]]
     assert cokernel(IntMatrix.from_rows(rows, cols=a.cols)) == before
+
+
+# entries for the split-cokernel net: units, small primes, and values
+# far beyond a machine word
+BLOCK_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([1, -1, 2, 3, 5, 7, 10**30, -10**30, 10**30 + 1, 3 * 10**30]),
+)
+
+
+@st.composite
+def split_matrices(draw):
+    """Block-diagonal matrices, with zero rows and columns, in shuffled
+    row and column order."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4))
+    zero_rows, zero_cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rows = sum(r for r, _ in shapes) + zero_rows
+    cols = sum(c for _, c in shapes) + zero_cols
+    grid = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for r, c in shapes:
+        for i in range(r):
+            grid[r0 + i][c0:c0 + c] = draw(st.lists(BLOCK_ENTRIES, min_size=c, max_size=c))
+        r0, c0 = r0 + r, c0 + c
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    return IntMatrix.from_rows(
+        [[grid[i][j] for j in col_order] for i in row_order], cols=cols
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(split_matrices())
+def test_split_cokernel_matches_the_whole_matrix_reduction(a):
+    diag = invariant_factors(a)
+    rank_a = sum(1 for x in diag if x)
+    whole = FgAbGroup.from_orders(a.rows - rank_a, [x for x in diag if x > 1])
+    assert cokernel(a) == whole
+
+
+def test_blocks_are_the_support_components():
+    a = IntMatrix.from_rows([
+        [0, 2, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+        [3, 0, 0, 1, 0],
+        [0, 1, 0, 0, 0],
+        [1, 0, 0, 0, 0],
+    ])
+    blocks = [(list(r), list(c)) for r, c in _blocks(a._a)]
+    # row 1 and column 2 are zero; column 4 is zero too
+    assert blocks == [([0, 3], [1]), ([2, 4], [0, 3])]
+    assert _blocks(IntMatrix.zeros(3, 0)._a) == []
+    assert _blocks(IntMatrix.zeros(2, 2)._a) == []
+
+
+def test_split_cokernel_renormalizes_torsion_across_blocks():
+    # Z_2 from one block and Z_3 from the other: Z_6, one reduction each
+    a = IntMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 3, 0]])
+    with track_entry_growth() as stats:
+        c = cokernel(a)
+    assert c == FgAbGroup(1, (6,))
+    assert stats.reductions == [[1, 1, 2, 2], [1, 1, 2, 2]]
 
 
 # --- integer solving ------------------------------------------------------

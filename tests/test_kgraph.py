@@ -1,11 +1,12 @@
+import random
 import time
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from groupoid_homology import exact_linalg, kgraph
-from groupoid_homology.abelian import TRIVIAL, FgAbGroup, Z
+from groupoid_homology import checks, exact_linalg, kgraph
+from groupoid_homology.abelian import TRIVIAL, FgAbGroup, Z, direct_sum
 from groupoid_homology.errors import (
     HypothesisViolated,
     RankUnsupported,
@@ -103,6 +104,33 @@ def test_homology_invariant_under_vertex_relabeling(perm):
     relabeled_rows = [[rows[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
     sk2 = KGraphSkeleton(("a", "b", "c"), (IntMatrix.from_rows(relabeled_rows),))
     assert groupoid_homology(sk).groups == groupoid_homology(sk2).groups
+
+
+def _disjoint_union(parts):
+    """One skeleton whose vertex matrices are the parts' direct sums."""
+    n = sum(len(p.vertices) for p in parts)
+    vertices, mats, start = [], [[[0] * n for _ in range(n)] for _ in parts[0].matrices], 0
+    for idx, p in enumerate(parts):
+        vertices += [f"{idx}.{v}" for v in p.vertices]
+        for grid, m in zip(mats, p.matrices):
+            for i, row in enumerate(m.to_rows()):
+                grid[start + i][start:start + len(row)] = row
+        start += len(p.vertices)
+    return KGraphSkeleton(tuple(vertices), tuple(IntMatrix.from_rows(g) for g in mats))
+
+
+def test_homology_of_a_disjoint_union_is_the_direct_sum():
+    rng = random.Random(3)
+    tested = 0
+    while tested < 40:
+        parts = [checks._random_skeleton(rng) for _ in range(rng.randint(2, 3))]
+        if len({p.k for p in parts}) != 1:
+            continue
+        expected = groupoid_homology(parts[0]).groups
+        for p in parts[1:]:
+            expected = tuple(map(direct_sum, expected, groupoid_homology(p).groups))
+        assert groupoid_homology(_disjoint_union(parts)).groups == expected
+        tested += 1
 
 
 # --- K-theory ---------------------------------------------------------------

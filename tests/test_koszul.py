@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
@@ -16,6 +17,7 @@ from groupoid_homology.errors import (
 )
 from groupoid_homology.exact_linalg import (
     IntMatrix,
+    _blocks,
     cokernel,
     kernel_basis,
     solve_columns,
@@ -104,6 +106,65 @@ def test_noncommuting_family_names_the_first_pair():
         tested += 1
 
 
+def _direct_sum(a, b):
+    rows = [r + [0] * b.cols for r in a.to_rows()]
+    rows += [[0] * a.cols + r for r in b.to_rows()]
+    return IntMatrix.from_rows(rows)
+
+
+def _dense_degree2_boundaries(fam):
+    """d_1 and d_2 of the family, written out by the sign rule of build."""
+    k, m = len(fam), fam[0].rows
+    d = [(IntMatrix.identity(m) - s).to_rows() for s in fam]
+    zero = [[0] * m for _ in range(m)]
+    pairs = list(combinations(range(k), 2))
+    d1 = IntMatrix.from_rows([sum((d[i][r] for i in range(k)), []) for r in range(m)])
+    # column block (i, j) of d_2 holds d_i in row block j and -d_j in row block i
+    cells = {(j, (i, j)): d[i] for i, j in pairs}
+    cells.update({(i, (i, j)): [[-x for x in row] for row in d[j]] for i, j in pairs})
+    d2 = IntMatrix.from_rows([
+        sum((cells.get((b, t), zero)[r] for t in pairs), [])
+        for b in range(k) for r in range(m)
+    ])
+    return d1, d2
+
+
+def test_blockwise_commutation_check_names_the_dense_pair():
+    # direct sums of two families whose non-commuting pairs differ: the
+    # degree-2 boundary splits into blocks, and build must name the pair
+    # of the first nonzero column block of the dense d_1 d_2
+    rng = random.Random(11)
+    tested = 0
+    while tested < 30:
+        k = 3
+        parts = []
+        for _ in range(2):
+            m = rng.randint(1, 3)
+            fam = checks._random_commuting_family(rng, k, m)
+            fam[rng.randrange(k)] = checks._random_matrix(rng, m, m, -2, 2)
+            parts.append(fam)
+        bad = [{(i, j) for i, j in combinations(range(k), 2)
+                if fam[i] @ fam[j] != fam[j] @ fam[i]} for fam in parts]
+        fam = [_direct_sum(a, b) for a, b in zip(*parts)]
+        d1, d2 = _dense_degree2_boundaries(fam)
+        if not bad[0] or not bad[1] or bad[0] == bad[1] or len(_blocks(d2._a)) < 2:
+            continue
+        first = min(c for row in (d1 @ d2).to_rows() for c, x in enumerate(row) if x)
+        i, j = list(combinations(range(k), 2))[first // fam[0].rows]
+        with pytest.raises(NonCommuting) as exc:
+            build(k, fam)
+        assert str(exc.value) == f"endomorphisms {i} and {j} do not commute"
+        tested += 1
+
+
+def test_dense_degree2_boundaries_match_build():
+    rng = random.Random(5)
+    for _ in range(10):
+        fam = checks._random_commuting_family(rng, 3, rng.randint(1, 3))
+        c = build(3, fam)
+        assert _dense_degree2_boundaries(fam) == (c.boundary(1), c.boundary(2))
+
+
 def test_degree3_composite_guards_the_assembly(monkeypatch):
     # simulate an indexing slip: the degree-3 boundary lists its rows (the
     # 2-subsets) in reverse, so d_1 d_2 = 0 but d_2 d_3 != 0
@@ -118,9 +179,15 @@ def test_degree3_composite_guards_the_assembly(monkeypatch):
                 out.reverse()
         return out
 
+    # the diagonal family's boundaries split into one block per base
+    # coordinate, so its composite is formed block by block
+    split = [IntMatrix.from_rows([[a, 0], [0, b]]) for a, b in ((2, 7), (3, 11), (5, 13))]
+    assert len(_blocks(build(3, split).boundary(3)._a)) == 2
     monkeypatch.setattr(koszul, "combinations", slipped)
-    with pytest.raises(BrokenComplex, match="degrees 2 and 3"):
-        build(3, one_by_one(2, 3, 5))
+    for family in (one_by_one(2, 3, 5), split):
+        pair_calls.clear()
+        with pytest.raises(BrokenComplex, match="degrees 2 and 3"):
+            build(3, family)
 
 
 def test_rank0_needs_explicit_dimension():
