@@ -165,7 +165,7 @@ def complex_net(rng: random.Random, cases: int = 60) -> NetResult:
             out.failures.append(f"case {idx}: euler characteristic nonzero")
         for p in range(k + 1):
             kb = kernel_basis(c.boundary(p))
-            cycles = [tuple(kb._a[:, j]) for j in range(kb.cols)]
+            cycles = kb.transpose().to_rows()
             for i in range(k):
                 if not verify_shift_identity(c, i, p, cycles):
                     out.failures.append(

@@ -13,11 +13,12 @@ transform V for kernel bases; U and V for snf and solve_columns.
 Matrices cache nothing, so solve_columns reduces its matrix on every
 call.
 
-Storage is a read-only numpy object array: entries stay honest Python
-ints while row and column operations run as single vectorized calls.
-Each clearing pass of the Smith reduction and each Bareiss step of det
-is one rank-1 update of the trailing block (an outer product of the
-pivot column and row), with no loop over entries, rows or columns.
+Storage is plain Python: an IntMatrix is a tuple of row tuples plus
+its column count. Reductions work on row lists, with every row
+operation one map over a row; _smithify keeps V transposed, so column
+operations on V are row operations too. Products skip the zero entries
+of their left factor, so composing sparse boundaries costs about nnz
+times the row length.
 
 cokernel alone splits its matrix into the connected blocks of its
 support and reduces each block on its own: up to row and column order
@@ -31,8 +32,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import chain, compress, repeat
+from operator import add, mul, neg, sub
 
 from .abelian import FgAbGroup, _exact_ints
 from .errors import DimensionMismatch, NoIntegerSolution
@@ -51,24 +52,32 @@ def xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def _obj_zeros(rows: int, cols: int):
-    return np.zeros((rows, cols), dtype=object)
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
-def _obj_identity(n: int):
-    a = np.zeros((n, n), dtype=object)
-    np.fill_diagonal(a, 1)
-    return a
+def _minus_multiple(row, q: int, other) -> list[int]:
+    """row - q * other, entry by entry."""
+    if q == 1:
+        return list(map(sub, row, other))
+    if q == -1:
+        return list(map(add, row, other))
+    return list(map(sub, row, map(mul, other, repeat(q))))
+
+
+def _max_abs(rows) -> int:
+    """Largest |entry| over a sequence of rows (0 if there is none)."""
+    return max((max(map(abs, row), default=0) for row in rows), default=0)
 
 
 class IntMatrix:
     """An immutable dense matrix of arbitrary-precision integers.
 
-    Entries are stored row-major. Arithmetic never overflows and never
-    rounds; all operations return new matrices.
+    Entries are stored as a tuple of row tuples. Arithmetic never
+    overflows and never rounds; all operations return new matrices.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_data", "_ncols")
 
     def __init__(self, rows: int, cols: int, entries):
         flat = _exact_ints(entries)
@@ -79,18 +88,15 @@ class IntMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(flat)}"
             )
-        a = np.empty((rows, cols), dtype=object)
-        if flat:
-            a.ravel()[:] = flat
-        a.flags.writeable = False
-        self._a = a
+        self._data = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
+        self._ncols = cols
 
     @classmethod
-    def _wrap(cls, array) -> "IntMatrix":
-        # Trusted path: array must be a 2-d object ndarray of Python ints.
+    def _wrap(cls, rows, cols: int) -> "IntMatrix":
+        # Trusted path: rows must be sequences of cols Python ints each.
         m = object.__new__(cls)
-        array.flags.writeable = False
-        m._a = array
+        m._data = tuple(map(tuple, rows))
+        m._ncols = cols
         return m
 
     @classmethod
@@ -110,87 +116,99 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._wrap(_obj_identity(n))
+        return cls._wrap(_identity_rows(n), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._wrap(_obj_zeros(rows, cols))
+        return cls._wrap(((0,) * cols,) * rows, cols)
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0]
+        return len(self._data)
 
     @property
     def cols(self) -> int:
-        return self._a.shape[1]
+        return self._ncols
 
     @property
     def shape(self):
-        return self._a.shape
+        return len(self._data), self._ncols
 
     @property
     def entries(self) -> tuple[int, ...]:
-        return tuple(self._a.ravel(order="C"))
+        return tuple(chain.from_iterable(self._data))
 
     def __getitem__(self, key) -> int:
         i, j = key
-        return self._a[i, j]
+        return self._data[i][j]
 
     def to_rows(self) -> list[list[int]]:
-        return [list(row) for row in self._a]
-
-    def _writable_copy(self):
-        return np.array(self._a, dtype=object)
+        return [list(row) for row in self._data]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._wrap(np.array(self._a.T, dtype=object))
+        if not self._data:
+            return IntMatrix.zeros(self._ncols, 0)
+        return IntMatrix._wrap(zip(*self._data), self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return IntMatrix._wrap(np.dot(self._a, other._a))
+        # one scaled row of other per nonzero entry of self
+        zero = (0,) * other._ncols
+        out = []
+        for row in self._data:
+            acc = zero
+            for x, orow in zip(row, other._data):
+                if x:
+                    acc = _minus_multiple(acc, -x, orow)
+            out.append(acc)
+        return IntMatrix._wrap(out, other._ncols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
-        return IntMatrix._wrap(self._a + other._a)
+        return IntMatrix._wrap(
+            (map(add, r, s) for r, s in zip(self._data, other._data)), self._ncols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
-        return IntMatrix._wrap(self._a - other._a)
+        return IntMatrix._wrap(
+            (map(sub, r, s) for r, s in zip(self._data, other._data)), self._ncols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._wrap(-self._a)
+        return IntMatrix._wrap((map(neg, row) for row in self._data), self._ncols)
 
     def __rmul__(self, scalar: int) -> "IntMatrix":
         (scalar,) = _exact_ints((scalar,))
-        return IntMatrix._wrap(scalar * self._a)
+        return IntMatrix._wrap(([scalar * x for x in row] for row in self._data),
+                               self._ncols)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix._wrap(np.kron(self._a, other._a))
+        return IntMatrix._wrap(
+            ([x * y for x in ra for y in rb] for ra in self._data for rb in other._data),
+            self._ncols * other._ncols,
+        )
 
     def is_zero(self) -> bool:
-        return not (self._a != 0).any()
+        return not any(map(any, self._data))
 
     def max_bit_length(self) -> int:
         """Bit length of the largest entry by absolute value (0 if empty)."""
-        if self._a.size == 0:
-            return 0
-        return int(np.abs(self._a).max()).bit_length()
+        return _max_abs(self._data).bit_length()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.shape == other.shape and bool((self._a == other._a).all())
+        return self._ncols == other._ncols and self._data == other._data
 
     def __hash__(self):
-        return hash((self.shape, self.entries))
+        return hash((self._ncols, self._data))
 
     def __repr__(self):
-        if self._a.size <= 36:
+        if self.rows * self.cols <= 36:
             return f"IntMatrix.from_rows({self.to_rows()!r})"
         return f"<IntMatrix {self.rows}x{self.cols}>"
 
@@ -210,11 +228,9 @@ class EntryGrowthStats:
     peak_bits: int = 0
     reductions: list[list[int]] = field(default_factory=list)
 
-    def begin_reduction(self, a):
-        bits = 0
-        if a.size:
-            bits = int(np.abs(a).max()).bit_length()
-        self.reductions.append([a.shape[0], a.shape[1], bits, bits])
+    def begin_reduction(self, rows: int, cols: int, magnitude: int):
+        bits = magnitude.bit_length()
+        self.reductions.append([rows, cols, bits, bits])
         if bits > self.peak_bits:
             self.peak_bits = bits
 
@@ -224,10 +240,6 @@ class EntryGrowthStats:
             self.peak_bits = b
         if self.reductions and b > self.reductions[-1][3]:
             self.reductions[-1][3] = b
-
-    def note_array(self, a):
-        if a.size:
-            self.note_int(int(np.abs(a).max()))
 
     def worst_reduction(self) -> tuple[int, int, int, int] | None:
         """The recorded reduction with the largest peak/input bit ratio."""
@@ -290,94 +302,109 @@ class SnfResult:
     rank: int
 
 
-def _pick_pivot(D, t, stats):
-    """Position of the least nonzero |entry| in D[t:, t:], ties by (row, col)."""
-    block = D[t:, t:]
-    if block.size == 0:
-        return None
-    flat = np.abs(block.ravel(order="C"))
+def _pick_pivot(A, stats):
+    """Position of the least nonzero |entry| in the block A, ties by (row, col).
+
+    The search stops at the first row holding a +-1, since nothing is
+    smaller. The block maximum that growth tracking samples is taken in
+    a pass of its own, so stopping early never changes the records.
+    """
     if stats is not None:
-        stats.note_int(int(flat.max()))
-    mask = flat != 0
-    if not mask.any():
+        stats.note_int(_max_abs(A))
+    least, at = 0, None
+    for i, row in enumerate(A):
+        m = min(map(abs, filter(None, row)), default=0)
+        if m and (m < least or not least):
+            least, at = m, i
+            if m == 1:
+                break
+    if at is None:
         return None
-    least = flat[mask].min()
-    idx = int(np.flatnonzero(flat == least)[0])
-    bcols = block.shape[1]
-    return t + idx // bcols, t + idx % bcols
+    row = A[at]
+    return at, min(row.index(x) for x in (least, -least) if x in row)
 
 
-def _smithify(D, want_u: bool, want_v: bool):
-    """Reduce D in place to Smith form; return (diagonal, U, V).
+def _smithify(a: IntMatrix, want_u: bool, want_v: bool):
+    """Reduce a to Smith form; return (diagonal, U, V^t) as row lists.
 
     Pivoting: the nonzero entry of least absolute value in the remaining
-    block, ties broken by lowest (row, col). Each clearing pass is one
-    rank-1 update with nearest-integer quotients q, so remainders stay at
-    most half the pivot p: the row pass subtracts outer(q, row t) from
-    the rows below, the column pass outer(column t, q) from the columns
-    to the right. The row pass reads only row t and never writes it, and
-    the column pass likewise for column t, so clearing one row or column
-    at a time in any order gives the same matrix. Before a pivot is
-    frozen it is forced to divide every entry of the remaining block,
-    which yields the divisibility chain.
+    block, ties broken by lowest (row, col). Each clearing pass uses
+    nearest-integer quotients q, so remainders stay at most half the
+    pivot p: the row pass subtracts q times row t from each row below,
+    the column pass q times column t from each column to the right. The
+    row pass reads only row t and never writes it, and the column pass
+    likewise for column t, so clearing order does not matter. Before a
+    pivot is frozen it is forced to divide every entry of the remaining
+    block, which yields the divisibility chain. A frozen pivot's row and
+    column are zero apart from the pivot, so the working block A is the
+    trailing (rows - t) x (cols - t) block at step t.
     """
-    rows, cols = D.shape
-    U = _obj_identity(rows) if want_u else None
-    V = _obj_identity(cols) if want_v else None
+    A, nrows, cols = a.to_rows(), a.rows, a.cols
+    U = _identity_rows(nrows) if want_u else None
+    Vt = _identity_rows(cols) if want_v else None
     stats = _TRACK.get()
     if stats is not None:
-        stats.begin_reduction(D)
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
-        pos = _pick_pivot(D, t, stats)
+        stats.begin_reduction(nrows, cols, _max_abs(A))
+    limit = min(nrows, cols)
+    diag = []
+    for t in range(limit):
+        pos = _pick_pivot(A, stats)
         if pos is None:
             break
         while True:
             i, j = pos
-            if i != t:
-                D[[t, i], :] = D[[i, t], :]
+            if i:
+                A[0], A[i] = A[i], A[0]
                 if want_u:
-                    U[[t, i], :] = U[[i, t], :]
-            if j != t:
-                D[:, [t, j]] = D[:, [j, t]]
+                    U[t], U[t + i] = U[t + i], U[t]
+            if j:
+                for row in A:
+                    row[0], row[j] = row[j], row[0]
                 if want_v:
-                    V[:, [t, j]] = V[:, [j, t]]
-            if D[t, t] < 0:
-                D[t, :] = -D[t, :]
+                    Vt[t], Vt[t + j] = Vt[t + j], Vt[t]
+            top = A[0]
+            if top[0] < 0:
+                A[0] = top = [-x for x in top]
                 if want_u:
-                    U[t, :] = -U[t, :]
-            p = int(D[t, t])
-            q = (D[t + 1:, t] + (p >> 1)) // p
-            r = np.flatnonzero(q)
-            D[t + 1 + r, t:] -= np.outer(q[r], D[t, t:])
-            if want_u:
-                U[t + 1 + r, :] -= np.outer(q[r], U[t, :])
-            q = (D[t, t + 1:] + (p >> 1)) // p
-            c = np.flatnonzero(q)
-            D[t:, t + 1 + c] -= np.outer(D[t:, t], q[c])
-            if want_v:
-                V[:, t + 1 + c] -= np.outer(V[:, t], q[c])
-            if D[t + 1:, t].any() or D[t, t + 1:].any():
-                pos = _pick_pivot(D, t, stats)
+                    U[t] = [-x for x in U[t]]
+            p = top[0]
+            h = p >> 1
+            # row pass: q_r times row t off each row r > t
+            qs = [(row[0] + h) // p for row in A]
+            qs[0] = 0
+            if any(qs):
+                A = [_minus_multiple(row, q, top) if q else row for row, q in zip(A, qs)]
+                if want_u:
+                    U[t:] = [_minus_multiple(row, q, U[t]) if q else row
+                             for row, q in zip(U[t:], qs)]
+            # column pass: q_j times column t off each column j > t
+            qs = [(x + h) // p for x in A[0]]
+            qs[0] = 0
+            if any(qs):
+                A = [_minus_multiple(row, row[0], qs) if row[0] else row for row in A]
+                if want_v:
+                    Vt[t:] = [_minus_multiple(row, q, Vt[t]) if q else row
+                              for row, q in zip(Vt[t:], qs)]
+            if any(A[0][1:]) or any(row[0] for row in A[1:]):
+                pos = _pick_pivot(A, stats)
                 continue
             if p == 1:  # divides everything; skips an O(n^2) test per pivot
                 break
-            off = np.flatnonzero((D[t + 1:, t + 1:] % p != 0).any(axis=1))
-            if not off.size:
+            off = next((r for r in range(1, len(A)) if any(x % p for x in A[r])), None)
+            if off is None:
                 break
             # Fold the first offending row into the pivot row; the next
             # clearing pass leaves a remainder strictly smaller than p.
-            off = t + 1 + int(off[0])
-            D[t, t:] += D[off, t:]
+            A[0] = list(map(add, A[0], A[off]))
             if want_u:
-                U[t, :] += U[off, :]
-            pos = _pick_pivot(D, t, stats)
-        t += 1
-    if stats is not None and D.size:
-        stats.note_array(D)
-    diag = [int(D[i, i]) for i in range(limit)]
-    return diag, U, V
+                U[t] = list(map(add, U[t], U[t + off]))
+            pos = _pick_pivot(A, stats)
+        diag.append(p)
+        A = [row[1:] for row in A[1:]]
+    diag += [0] * (limit - len(diag))
+    if stats is not None and diag:
+        stats.note_int(max(diag))
+    return diag, U, Vt
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -387,16 +414,15 @@ def snf(a: IntMatrix) -> SnfResult:
     |det v| = 1, every d_i >= 0, and each nonzero d_i divides d_{i+1}.
     The reduction is deterministic, so equal inputs give equal outputs.
     """
-    D = a._writable_copy()
-    diag, U, V = _smithify(D, True, True)
+    diag, U, Vt = _smithify(a, True, True)
     rank = sum(1 for x in diag if x)
-    return SnfResult(tuple(diag), IntMatrix._wrap(U), IntMatrix._wrap(V), rank)
+    v = IntMatrix._wrap(Vt, a.cols).transpose()
+    return SnfResult(tuple(diag), IntMatrix._wrap(U, a.rows), v, rank)
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form only (no transforms; faster)."""
-    D = a._writable_copy()
-    diag, _, _ = _smithify(D, False, False)
+    diag, _, _ = _smithify(a, False, False)
     return tuple(diag)
 
 
@@ -418,35 +444,39 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     Homology does not need this: its kernel ranks are cols - rank. This
     is a utility for callers that want explicit cycles.
     """
-    D = a._writable_copy()
-    diag, _, V = _smithify(D, False, True)
+    diag, _, Vt = _smithify(a, False, True)
     r = sum(1 for x in diag if x)
-    return IntMatrix._wrap(np.array(V[:, r:], dtype=object))
+    return IntMatrix._wrap(Vt[r:], a.cols).transpose()
 
 
-def _blocks(a) -> list[tuple[np.ndarray, np.ndarray]]:
+def _blocks(a: IntMatrix) -> list[tuple[list[int], list[int]]]:
     """Connected components of the bipartite support graph of a.
 
     Rows and columns are the vertices and nonzero entries the edges.
-    Each component is (row indices, column indices), both ascending,
-    grown from its first row one frontier at a time; components come in
-    order of first row. Zero rows and columns belong to no component.
+    Each component is (row indices, column indices), both ascending;
+    components come in order of first row. Zero rows and columns belong
+    to no component.
     """
-    support = a != 0
-    todo = support.any(axis=1)
+    row_cols = [list(compress(range(a.cols), row)) for row in a._data]
+    col_rows = [[] for _ in range(a.cols)]
+    for i, js in enumerate(row_cols):
+        for j in js:
+            col_rows[j].append(i)
+    placed = set()
     blocks = []
-    while todo.any():
-        rows = np.zeros(support.shape[0], dtype=bool)
-        cols = np.zeros(support.shape[1], dtype=bool)
-        new_rows = rows.copy()
-        new_rows[todo.argmax()] = True
-        while new_rows.any():
-            rows |= new_rows
-            new_cols = support[new_rows].any(axis=0) & ~cols
-            cols |= new_cols
-            new_rows = support[:, new_cols].any(axis=1) & ~rows
-        todo &= ~rows
-        blocks.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+    for start, js in enumerate(row_cols):
+        if not js or start in placed:
+            continue
+        rows, cols, stack = {start}, set(), [start]
+        while stack:
+            for j in row_cols[stack.pop()]:
+                if j not in cols:
+                    cols.add(j)
+                    new = [i for i in col_rows[j] if i not in rows]
+                    rows.update(new)
+                    stack += new
+        placed |= rows
+        blocks.append((sorted(rows), sorted(cols)))
     return blocks
 
 
@@ -461,12 +491,13 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
     the torsion of all blocks (Z_2 from one block and Z_3 from another
     give Z_6). A matrix with fewer blocks is reduced whole.
     """
-    blocks = _blocks(a._a)
+    blocks = _blocks(a)
     if len(blocks) < 2:
         diag = invariant_factors(a)
     else:
-        diag = [x for rows, cols in blocks
-                for x in _smithify(a._a[np.ix_(rows, cols)], False, False)[0]]
+        data = a._data
+        diag = [x for rows, cols in blocks for x in invariant_factors(
+            IntMatrix._wrap(([data[i][j] for j in cols] for i in rows), len(cols)))]
     r = sum(1 for x in diag if x)
     return FgAbGroup.from_orders(a.rows - r, [x for x in diag if x > 1])
 
@@ -482,57 +513,47 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             f"a has {a.rows} rows but b has {b.rows}"
         )
     res = snf(a)
-    c = (res.u @ b)._writable_copy()
     d = res.d
-    z = _obj_zeros(a.cols, b.cols)
-    for i in range(a.rows):
+    z = [[0] * b.cols for _ in range(a.cols)]
+    for i, row in enumerate((res.u @ b)._data):
         di = d[i] if i < len(d) else 0
-        row = c[i, :]
         if di == 0:
-            bad = np.flatnonzero(row != 0)
-            if bad.size:
-                j = int(bad[0])
+            j = next((j for j, x in enumerate(row) if x), None)
+            if j is not None:
                 raise NoIntegerSolution(
                     f"column {j} of the right-hand side is not in the span"
                 )
         else:
-            rem = row % di
-            bad = np.flatnonzero(rem != 0)
-            if bad.size:
-                j = int(bad[0])
+            j = next((j for j, x in enumerate(row) if x % di), None)
+            if j is not None:
                 raise NoIntegerSolution(
                     f"column {j} of the right-hand side needs a non-integer "
                     f"multiple of invariant factor {di}"
                 )
-            z[i, :] = row // di
-    return res.v @ IntMatrix._wrap(z)
+            z[i] = [x // di for x in row]
+    return res.v @ IntMatrix._wrap(z, b.cols)
 
 
 def det(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"determinant needs a square matrix, got {a.shape}")
-    n = a.rows
-    if n == 0:
+    if a.rows == 0:
         return 1
-    M = a._writable_copy()
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if M[t, t] == 0:
-            for i in range(t + 1, n):
-                if M[i, t]:
-                    M[[t, i], :] = M[[i, t], :]
-                    sign = -sign
-                    break
-            else:
+    M = a.to_rows()
+    sign = prev = 1
+    while len(M) > 1:
+        if not M[0][0]:
+            i = next((i for i, row in enumerate(M) if row[0]), None)
+            if i is None:
                 return 0
-        piv = M[t, t]
-        M[t + 1:, t + 1:] = (
-            piv * M[t + 1:, t + 1:] - np.outer(M[t + 1:, t], M[t, t + 1:])
-        ) // prev
+            M[0], M[i] = M[i], M[0]
+            sign = -sign
+        piv, rest = M[0][0], M[0][1:]
+        M = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], rest)]
+             for row in M[1:]]
         prev = piv
-    return sign * int(M[n - 1, n - 1])
+    return sign * M[0][0]
 
 
 def is_unimodular(a: IntMatrix) -> bool:

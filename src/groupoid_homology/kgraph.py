@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .abelian import TRIVIAL, FgAbGroup, HomologyProfile, direct_sum, tensor, tor
 from .errors import (
     BrokenComplex,
@@ -27,7 +25,7 @@ from .errors import (
     RankUnsupported,
     SkeletonInvalid,
 )
-from .exact_linalg import IntMatrix, _obj_zeros, cokernel
+from .exact_linalg import IntMatrix, cokernel
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import build, homology
 
@@ -79,7 +77,8 @@ def validate(s: KGraphSkeleton) -> list[str]:
             p = s.matrices[i] @ s.matrices[j]
             q = s.matrices[j] @ s.matrices[i]
             if p != q:
-                v, w = map(int, np.argwhere(p._a != q._a)[0])
+                n = len(s.vertices)
+                v, w = next((v, w) for v in range(n) for w in range(n) if p[v, w] != q[v, w])
                 findings.append(
                     f"matrices[{i}] and matrices[{j}] do not commute: "
                     f"products differ at ({v},{w})"
@@ -98,12 +97,13 @@ def _negative_findings(s: KGraphSkeleton) -> list[str]:
     return [
         f"matrices[{i}] entry ({v},{w}) is negative: {m[v, w]}"
         for i, m in enumerate(s.matrices)
-        for v, w in np.argwhere(m._a < 0).tolist()
+        for v, row in enumerate(m.to_rows())
+        for w, x in enumerate(row) if x < 0
     ]
 
 
 def _zero_rows(m: IntMatrix) -> list[int]:
-    return np.flatnonzero(~(m._a != 0).any(axis=1)).tolist()
+    return [v for v, row in enumerate(m.to_rows()) if not any(row)]
 
 
 def _require_valid(s: KGraphSkeleton) -> None:
@@ -298,12 +298,13 @@ def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
     n = len(s.vertices)
     edges = sum(m.entries)
     # one column per ordered pair v != w with an edge, in row-major order
-    v, w = np.nonzero((m._a != 0) & ~np.eye(n, dtype=bool))
-    cols = np.arange(v.size)
-    incidence = _obj_zeros(n, v.size)
-    incidence[w, cols] = 1
-    incidence[v, cols] = -1
-    h0 = cokernel(IntMatrix._wrap(incidence))
+    pairs = [(v, w) for v, row in enumerate(m.to_rows())
+             for w, x in enumerate(row) if x and v != w]
+    incidence = [[0] * len(pairs) for _ in range(n)]
+    for col, (v, w) in enumerate(pairs):
+        incidence[w][col] = 1
+        incidence[v][col] = -1
+    h0 = cokernel(IntMatrix.from_rows(incidence, cols=len(pairs)))
     if h0.torsion:
         raise BrokenComplex("graph incidence cokernel acquired torsion")
     h1 = FgAbGroup.free(edges - (n - h0.free_rank))

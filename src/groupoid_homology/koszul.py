@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 
-import numpy as np
-
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints
 from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
-from .exact_linalg import IntMatrix, _blocks, _obj_zeros, cokernel, invariant_factors
+from .exact_linalg import IntMatrix, cokernel, invariant_factors
 # unused here, but perfbench/tracing.py wraps these two at this module by name
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
@@ -64,10 +62,9 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     returning. In degree 2 this is the commutation check: column block
     (i, j) of the composite is S_j S_i - S_i S_j, and the first nonzero
     block is raised as NonCommuting. In higher degrees it guards the
-    assembly against sign and indexing mistakes (BrokenComplex). Each
-    composite is formed one connected block of the degree-p boundary at
-    a time (_composite); it equals the dense product entry for entry, so
-    both checks see the same matrix and name the same pair.
+    assembly against sign and indexing mistakes (BrokenComplex). The
+    product skips zero entries of its left factor, so a composite of
+    sparse boundaries costs about nnz times the row length.
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
@@ -95,42 +92,33 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     for p in range(1, k + 1):
         col_tuples = list(combinations(range(k), p))
         row_index = {t: idx for idx, t in enumerate(combinations(range(k), p - 1))}
-        B = _obj_zeros(len(row_index) * m0, len(col_tuples) * m0)
+        B = [[0] * (len(col_tuples) * m0) for _ in range(len(row_index) * m0)]
         for ci, t in enumerate(col_tuples):
             for jj, idx in enumerate(t):
                 rest = t[:jj] + t[jj + 1:]
                 ri = row_index[rest]
                 blk = diffs[idx] if jj % 2 == 0 else neg_diffs[idx]
-                B[ri * m0:(ri + 1) * m0, ci * m0:(ci + 1) * m0] = blk._a
-        boundaries.append(IntMatrix._wrap(B))
+                for r, row in enumerate(blk._data):
+                    B[ri * m0 + r][ci * m0:(ci + 1) * m0] = row
+        boundaries.append(IntMatrix._wrap(B, len(col_tuples) * m0))
 
     c = KoszulComplex(k, m0, endos, tuple(boundaries))
     for p in range(2, k + 1):
-        dd = _composite(c.boundary(p - 1)._a, c.boundary(p)._a)
-        blocks = np.flatnonzero((dd != 0).any(axis=0)) // m0
-        if blocks.size and p == 2:
-            i, j = list(combinations(range(k), 2))[blocks[0]]
+        bad = _first_nonzero_column(c.boundary(p - 1) @ c.boundary(p))
+        if bad is not None and p == 2:
+            i, j = list(combinations(range(k), 2))[bad // m0]
             raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
-        if blocks.size:
+        if bad is not None:
             raise BrokenComplex(
                 f"boundaries in degrees {p - 1} and {p} do not compose to zero"
             )
     return c
 
 
-def _composite(a, b):
-    """The product a @ b, formed over the connected blocks of b.
-
-    A block's columns of b are zero outside the block's rows, so only
-    those columns of a, and only the rows of a that are nonzero there,
-    enter that part of the product; zero columns of b give zero columns.
-    """
-    out = _obj_zeros(a.shape[0], b.shape[1])
-    support = a != 0
-    for rows, cols in _blocks(b):
-        live = np.flatnonzero(support[:, rows].any(axis=1))
-        out[np.ix_(live, cols)] = np.dot(a[np.ix_(live, rows)], b[np.ix_(rows, cols)])
-    return out
+def _first_nonzero_column(a: IntMatrix) -> int | None:
+    """Index of the first column of a with a nonzero entry, or None."""
+    return min((j for row in a._data if any(row) for j, x in enumerate(row) if x),
+               default=None)
 
 
 def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
@@ -174,8 +162,7 @@ def _as_column_matrix(vectors, n: int) -> IntMatrix:
         if len(z) != n:
             raise DimensionMismatch(f"cycle has length {len(z)}, expected {n}")
         cols.append(z)
-    arr = np.array(cols, dtype=object).T.copy() if cols else np.empty((n, 0), dtype=object)
-    return IntMatrix._wrap(arr)
+    return IntMatrix.from_rows(cols, cols=n).transpose()
 
 
 def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool:
@@ -202,14 +189,14 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     Z = _as_column_matrix(cycles, c.dim(p))
     if Z.cols == 0:
         return True
-    bad = np.flatnonzero(((c.boundary(p) @ Z)._a != 0).any(axis=0))
-    if bad.size:
-        raise NotACycle(f"input {bad[0]} is not a degree-{p} cycle")
-    # (id (x) S_i) applied to every base block at once
-    blocks = Z._a.reshape(comb(c.k, p), c.m, Z.cols)
-    W = np.matmul(c.endos[i]._a, blocks).reshape(Z.shape)
+    bad = _first_nonzero_column(c.boundary(p) @ Z)
+    if bad is not None:
+        raise NotACycle(f"input {bad} is not a degree-{p} cycle")
+    # (id (x) S_i) z - z for every cycle z; the product skips the zeros
+    moved = IntMatrix.identity(comb(c.k, p)).kron(c.endos[i]) @ Z - Z
     a = c.boundary(p + 1)
-    return _span_index(a) == _span_index(IntMatrix._wrap(np.hstack([a._a, W - Z._a])))
+    augmented = [x + y for x, y in zip(a._data, moved._data)]
+    return _span_index(a) == _span_index(IntMatrix._wrap(augmented, a.cols + Z.cols))
 
 
 def _span_index(a: IntMatrix) -> tuple[int, int]:

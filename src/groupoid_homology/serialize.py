@@ -140,7 +140,12 @@ def parse_instance(obj) -> KGraphSkeleton | ZkAction:
 def load_instance(path: str) -> KGraphSkeleton | ZkAction:
     """Read and parse an instance file, with line/field diagnostics."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise SchemaError(
+                f"{path}: not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}"
+            ) from e
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

@@ -190,6 +190,16 @@ def test_overlong_integer_literal_is_a_schema_failure(capsys, tmp_path):
     assert json.loads(err)["error"]["message"].startswith(f"{path}: invalid JSON at line 1")
 
 
+def test_non_utf8_instance_is_a_schema_failure(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"kind": "kgraph", "k": 1, "vertices": ["v\xff"], "matrices": [[2]]}')
+    rc, out, err = run(capsys, ["homology", str(path)])
+    assert rc == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "SchemaError"
+    assert payload["message"] == f"{path}: not UTF-8: byte 0xff at offset 42"
+
+
 def test_results_longer_than_the_parsing_limit_print_exactly(capsys, tmp_path):
     # H_0 of [[A, 1], [1, A]] is Z_{det(1 - M)} = Z_{A(A - 2)}; with
     # A = 10^2500 that order is 10^5000 - 2 * 10^2500, 5,000 digits
@@ -309,3 +319,30 @@ def test_closed_stdout_exits_quietly_with_sigpipe_code(tmp_path):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# --- standard library only ------------------------------------------------------
+
+# numpy is made unimportable, so any import of it anywhere in a call fails it
+WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from groupoid_homology.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+Z2_ACTION = {"kind": "zk_action", "k": 2, "points": 4,
+             "permutations": [[1, 0, 3, 2], [2, 3, 0, 1]]}
+
+
+def test_cli_needs_no_numpy(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("HOMOLOGY_SEED", raising=False)
+    src = str(Path(groupoid_homology.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["homology", write(tmp_path, "g.json", TWO_VERTEX)],
+                 ["homology", write(tmp_path, "a.json", Z2_ACTION)],
+                 ["check", "--cases", "1", "--seed", "0"]):
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")

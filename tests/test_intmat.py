@@ -341,11 +341,11 @@ def test_blocks_are_the_support_components():
         [0, 1, 0, 0, 0],
         [1, 0, 0, 0, 0],
     ])
-    blocks = [(list(r), list(c)) for r, c in _blocks(a._a)]
+    blocks = [(list(r), list(c)) for r, c in _blocks(a)]
     # row 1 and column 2 are zero; column 4 is zero too
     assert blocks == [([0, 3], [1]), ([2, 4], [0, 3])]
-    assert _blocks(IntMatrix.zeros(3, 0)._a) == []
-    assert _blocks(IntMatrix.zeros(2, 2)._a) == []
+    assert _blocks(IntMatrix.zeros(3, 0)) == []
+    assert _blocks(IntMatrix.zeros(2, 2)) == []
 
 
 def test_split_cokernel_renormalizes_torsion_across_blocks():

@@ -147,7 +147,7 @@ def test_blockwise_commutation_check_names_the_dense_pair():
                 if fam[i] @ fam[j] != fam[j] @ fam[i]} for fam in parts]
         fam = [_direct_sum(a, b) for a, b in zip(*parts)]
         d1, d2 = _dense_degree2_boundaries(fam)
-        if not bad[0] or not bad[1] or bad[0] == bad[1] or len(_blocks(d2._a)) < 2:
+        if not bad[0] or not bad[1] or bad[0] == bad[1] or len(_blocks(d2)) < 2:
             continue
         first = min(c for row in (d1 @ d2).to_rows() for c, x in enumerate(row) if x)
         i, j = list(combinations(range(k), 2))[first // fam[0].rows]
@@ -180,9 +180,9 @@ def test_degree3_composite_guards_the_assembly(monkeypatch):
         return out
 
     # the diagonal family's boundaries split into one block per base
-    # coordinate, so its composite is formed block by block
+    # coordinate, a second support pattern for the same check
     split = [IntMatrix.from_rows([[a, 0], [0, b]]) for a, b in ((2, 7), (3, 11), (5, 13))]
-    assert len(_blocks(build(3, split).boundary(3)._a)) == 2
+    assert len(_blocks(build(3, split).boundary(3))) == 2
     monkeypatch.setattr(koszul, "combinations", slipped)
     for family in (one_by_one(2, 3, 5), split):
         pair_calls.clear()

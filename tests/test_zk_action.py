@@ -168,7 +168,7 @@ def test_homology_of_a_split_action_reduces_each_boundary_once(monkeypatch):
                      (2, 0, 1, 3, 4, 5, 6),
                      (0, 1, 2, 4, 3, 5, 6)))
     c = to_koszul(a)
-    assert len(_blocks(c.boundary(1)._a)) == 2
+    assert len(_blocks(c.boundary(1))) == 2
     oracle = orbit_oracle(a)
     shapes = []
     real = koszul.cokernel
