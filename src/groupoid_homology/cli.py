@@ -202,6 +202,17 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+def _case_count(text: str) -> int:
+    """argparse type of --cases: an int that is at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghom",
@@ -256,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("check", _cmd_check, "run the randomized verification nets")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=None, metavar="N",
+    p.add_argument("--cases", type=_case_count, default=None, metavar="N",
                    help="run N cases in every net instead of the defaults")
     p.add_argument("--perf", action="store_true",
                    help="also time the 100-vertex rank-2 reference workload")

@@ -5,13 +5,15 @@ normal form with unimodular transforms, kernel and cokernel of integer
 maps, and columnwise integer solving. No floating point is used at any
 point; every result is exact.
 
-One reduction, _smithify, serves every caller and carries only the
-transforms its caller reads: none for invariant factors, ranks and
+One Smith reduction, _smithify, serves every caller and carries only
+the transforms its caller reads: none for invariant factors, ranks and
 cokernels, which are all that homology of a complex of free modules
 needs (Munkres, Elements of Algebraic Topology, section 11); the right
-transform V for kernel bases; U and V for snf and solve_columns.
-Matrices cache nothing, so solve_columns reduces its matrix on every
-call.
+transform V for kernel bases; U and V for snf and solve_columns. snf
+runs a Hermite stage, _hermite, before it: reduced echelon rows keep
+the transforms to hundreds of bits where reducing a directly gives
+thousands. Matrices cache nothing, so solve_columns reduces its matrix
+on every call.
 
 Storage is plain Python: an IntMatrix is a tuple of row tuples plus
 its column count. Reductions work on row lists, with every row
@@ -223,10 +225,13 @@ class EntryGrowthStats:
     Each diagonal reduction is recorded as [rows, cols, input_bits,
     peak_bits] so growth can be judged against what that reduction was
     actually given, not against the first matrix in a pipeline.
+    transform_bits is the bit length of the largest entry of any U or V
+    that snf returned.
     """
 
     peak_bits: int = 0
     reductions: list[list[int]] = field(default_factory=list)
+    transform_bits: int = 0
 
     def begin_reduction(self, rows: int, cols: int, magnitude: int):
         bits = magnitude.bit_length()
@@ -407,17 +412,84 @@ def _smithify(a: IntMatrix, want_u: bool, want_v: bool):
     return diag, U, Vt
 
 
+def _hermite(a: IntMatrix):
+    """Row echelon form H of a with W @ a = H; return (H rows, W rows).
+
+    The rows of a are inserted one at a time into a basis of echelon
+    rows (Kannan and Bachem, SIAM J. Comput. 8, 1979). Each row carries
+    its row of W on its right, so one row operation updates both. An
+    incoming row whose leading column already holds a pivot p loses its
+    leading entry x: by the exact quotient x/p when p divides x, else by
+    the unimodular 2x2 step that turns the pair into one row led by
+    g = gcd(p, x) and one led by 0. A row that runs out of entries is a
+    left-kernel row of W. After each insertion every entry above a
+    pivot is reduced into [0, pivot), which keeps the entries of H and
+    W small. H holds the nonzero rows in pivot-column order, and W their
+    transforms followed by the kernel rows, so W is unimodular.
+    """
+    m, n = a.rows, a.cols
+    stats = _TRACK.get()
+    if stats is not None:
+        stats.begin_reduction(m, n, _max_abs(a._data))
+    basis = {}  # pivot column -> row of [H | W]
+    kernel = []
+    for i, row in enumerate(a._data):
+        h = [*row, *[0] * i, 1, *[0] * (m - i - 1)]
+        c = 0
+        while True:
+            c = next((j for j in range(c, n) if h[j]), None)
+            if c is None:
+                kernel.append(h[n:])
+                break
+            if c not in basis:
+                basis[c] = [-x for x in h] if h[c] < 0 else h
+                break
+            top = basis[c]
+            p, x = top[c], h[c]
+            if x % p:
+                g, s, t = xgcd(p, x)
+                basis[c] = [s * y + t * z for y, z in zip(top, h)]
+                h = [p // g * z - x // g * y for y, z in zip(top, h)]
+            else:
+                h = _minus_multiple(h, x // p, top)
+            if stats is not None:
+                stats.note_int(_max_abs((h, basis[c])))
+        pivots = sorted(basis)
+        for k, c in enumerate(pivots):
+            top = basis[c]
+            for above in pivots[:k]:
+                q = basis[above][c] // top[c]
+                if q:
+                    basis[above] = _minus_multiple(basis[above], q, top)
+        if stats is not None:
+            stats.note_int(_max_abs(basis.values()))
+    rows = [basis[c] for c in sorted(basis)]
+    return [h[:n] for h in rows], [h[n:] for h in rows] + kernel
+
+
 def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form of a with unimodular transforms.
 
     u @ a @ v equals diag(d) padded with zeros to a's shape, |det u| =
     |det v| = 1, every d_i >= 0, and each nonzero d_i divides d_{i+1}.
     The reduction is deterministic, so equal inputs give equal outputs.
+
+    Two stages: _hermite gives H = W @ a, then _smithify reduces the
+    nonzero rows of H to U2 @ H @ v = diagonal, and u = U2 @ W on those
+    rows. d is what _smithify(a) gives, since Smith forms are unique.
     """
-    diag, U, Vt = _smithify(a, True, True)
-    rank = sum(1 for x in diag if x)
+    H, W = _hermite(a)
+    r = len(H)
+    diag, U, Vt = _smithify(IntMatrix._wrap(H, a.cols), True, True)
+    top = IntMatrix._wrap(U, r) @ IntMatrix._wrap(W[:r], a.rows)
+    u = IntMatrix._wrap([*top._data, *W[r:]], a.rows)
     v = IntMatrix._wrap(Vt, a.cols).transpose()
-    return SnfResult(tuple(diag), IntMatrix._wrap(U, a.rows), v, rank)
+    stats = _TRACK.get()
+    if stats is not None:
+        stats.transform_bits = max(stats.transform_bits, u.max_bit_length(),
+                                   v.max_bit_length())
+    d = tuple(diag) + (0,) * (min(a.shape) - r)
+    return SnfResult(d, u, v, r)
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:

@@ -297,6 +297,17 @@ def test_check_rejects_garbage_seed_env(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "SchemaError"
 
 
+def test_check_rejects_a_negative_case_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--cases", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--cases: must be at least 0, got -1" in captured.err
+    # zero cases is still a valid, empty run
+    rc, out, _ = run(capsys, ["check", "--cases", "0"])
+    assert rc == 0 and out.splitlines()[0] == "snf: 0 cases, 0 failures"
+
+
 # --- output pipe closed early ---------------------------------------------------
 
 def test_closed_stdout_exits_quietly_with_sigpipe_code(tmp_path):

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from groupoid_homology.checks import perf_skeleton
+from groupoid_homology.checks import perf_skeleton, snf_net
 from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.errors import DimensionMismatch, NoIntegerSolution
 from groupoid_homology.exact_linalg import (
@@ -162,38 +162,130 @@ def _pinned_matrix(seed, rows, cols, kind):
     return IntMatrix(rows, cols, [draw() for _ in range(rows * cols)])
 
 
-# sha256 of the diagonal, both transforms, the kernel basis (the V-only
-# reduction) and the growth records, as the original row-by-row clearing
-# loop computed them; the reduction must reproduce every bit
-SNF_DIGESTS = {
-    (0, 6, 6, "dense"): "86f1b8a5be746e17a7272bd8d1d2aba41688ee69875099564b8e78b7bc5afdea",
-    (1, 9, 4, "dense"): "f9d277b89f81839417ea6db10134d9de7550ca9022261b70552fc583c471099d",
-    (2, 4, 9, "dense"): "1a6d3d430d3ba174d024f7926d2934ef1ccb83e2df307d255cc108d2bbdd6e1e",
-    (3, 20, 20, "dense"): "0ab85f1bd882add67995624b0b6867a0878926a47d7c2bdbaa4bb5768c350955",
-    (4, 12, 12, "sparse"): "7c2100d78db672563b2ab3488800b758d60f64142604089f22e2f3a7fae3d0a1",
-    (5, 15, 10, "sparse"): "be89098c8ebed06ffc06c03d2f9101c28a9325c64ac57fa6478a0e16bf9f9200",
-    (6, 14, 14, "unit"): "d96e092ee762e08aff0208883b463c37d0c53912827d9a1fa36533f123473e26",
-    (7, 10, 16, "unit"): "6aa24785263b87c9c321fedfe20bf1d4950cb195bd2bea7ad3489e888efbbb5e",
-    (8, 5, 5, "huge"): "72ff13dd99d9974a025e5d5bb3c01f9fffb216d9b89c77a4bf1b2ab8027c8822",
-    (9, 1, 7, "dense"): "1288315a9f9ac55f3bc23eac2caaede84182deab8be1017b784a761cbbd89a1d",
-    (10, 8, 1, "huge"): "b4965104052c50186cfa7cadfe69b774e3a0b3b10584bcffdb40d6dea15e7f39",
-    (11, 0, 0, "dense"): "42f4e92c03966b3ec824b33d917025266cdedcad2a6b115fc539a55755145dd3",
-    (12, 0, 4, "dense"): "41e461f68fab0b8fdc3de45069fb9ab8ee042424da90a6d2e19d649219d4b39b",
-    (13, 3, 0, "dense"): "b759d377284c2fe7a5fbf94f0d68d231268b92d36b2d86a4f030912d1410e46b",
+# sha256 of the diagonal, the kernel basis (the V-only reduction) and the
+# kernel basis's growth records, as the original row-by-row clearing loop
+# computed them; invariant factors and kernel bases must keep every bit
+KEPT_DIGESTS = {
+    (0, 6, 6, "dense"): "b39748d82ce5c17b7546e15e0b57ba3e3c13a4ec863638cc1ab4d3a959867932",
+    (1, 9, 4, "dense"): "a3fafb54b40fe5bf48c318a3309305d03353c7929461dfaf38702c1a408ddb75",
+    (2, 4, 9, "dense"): "96011cbf30d4ddf9c166ae4bd2061d3a8d40df9a8a2622551fd6560d3db06f98",
+    (3, 20, 20, "dense"): "53469a06b5fb6f243891585aa5daafb11877e24c2f9dfa96275758f1722bb57a",
+    (4, 12, 12, "sparse"): "db240af6e5ec94e0b54d4f7e0509b30c8c82fb423bee9fc028c19ed1629aaa7a",
+    (5, 15, 10, "sparse"): "1ef3cb7f3116b13dea1ba4367a2c465bac7b51155dca250d7712f95999e69759",
+    (6, 14, 14, "unit"): "f1c760398a6018a4d54fa301cdeaa852c65ca5d7d6117622b8bd8644389eaa98",
+    (7, 10, 16, "unit"): "7b1327262ad09a9d79dc3e1079b0faa2c284e7ecc7676115e99d25ed3113742c",
+    (8, 5, 5, "huge"): "2ce197fde6b9c57d488e311d9a3d441f2a867cffe4dcc92d03a77ce0b4bfc01a",
+    (9, 1, 7, "dense"): "f84109e77ffa4f99b59ff511ab3bac81f34f7ccfa63bc814db2b30b59f5fce33",
+    (10, 8, 1, "huge"): "2be404d58e273f5b01f91863588f7605efda1ce9cd40e4f7dd6102acd0bf92a5",
+    (11, 0, 0, "dense"): "9d894e7508a8dfc8986146f5f850ea8cd859dfe9cd79110f06acbc7078517167",
+    (12, 0, 4, "dense"): "eeb7c837f96e1a080e0fb997aa1cdbbedda5a1b137368b6f47c868f301259641",
+    (13, 3, 0, "dense"): "8a837ef6c305a0213b8bb0fac26d6d2dc13b2ac7e319c567a37e573e81f62950",
 }
+
+# sha256 of snf's two transforms and its growth records (the Hermite stage's
+# and the Smith stage's), pinned when snf gained its Hermite stage
+SNF_DIGESTS = {
+    (0, 6, 6, "dense"): "85f8513bb039de1935454d8e31868b67561625f402e59f2bad3bf411e875f715",
+    (1, 9, 4, "dense"): "dc1100b01e9f28ec40e0e00b9e48b917027eee0fe9fac21f4a1b16edc1b130f5",
+    (2, 4, 9, "dense"): "d0edc1f3b0d5ff007f8a3c54a6464d02dd218888ac834e9e6eb1d92a4839a0c0",
+    (3, 20, 20, "dense"): "cdf777e1f2b2cb6608080b55dbbf4d9b8249eabfd21e995e24d2ac7b82ea3626",
+    (4, 12, 12, "sparse"): "08e14e7332828d1ff02dafac92e48eca6721d896ce02d0d803b3da513b64ba05",
+    (5, 15, 10, "sparse"): "71e885d891006fdf34992de146d3fb2649ff24a6f3ca8c71ed5f42a5b14c7a83",
+    (6, 14, 14, "unit"): "6fa20243c22de8f7e7b7109f52f7f64242765ca849a4678644b965af05c9b7be",
+    (7, 10, 16, "unit"): "041349e5b3534f33c27af4565311651ab98170dd74ff8c76d05a562c59e3405c",
+    (8, 5, 5, "huge"): "7c3e42c6d4d97c70e9958ffd8456723413ccbd1b058481e2509dab669323628d",
+    (9, 1, 7, "dense"): "0292e42376e623a3a65b5840fe4747a1251554f0d9878ada86898b900baf62ac",
+    (10, 8, 1, "huge"): "396dbecd0756eaab87ebd293199df5ccf762c381cbbc4b94f8e0978dd8a37975",
+    (11, 0, 0, "dense"): "31ec4de4596f0a15e842124ddff808504df83172d994c8bac27da553f82d3bc3",
+    (12, 0, 4, "dense"): "04b4a5f6882a2ef8dcbb608dacbf6141db74f9ef8e3d45dca3b67f335516e873",
+    (13, 3, 0, "dense"): "d3312fca8342e291dfe634771f88a9d18f9782541c62b0de7cbc3ed047aac5a3",
+}
+
+
+def _kept_digest(a):
+    with track_entry_growth() as stats:
+        kernel = kernel_basis(a)
+    record = (snf(a).d, kernel.entries, stats.reductions)
+    return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
 def _snf_digest(a):
     with track_entry_growth() as stats:
         res = snf(a)
-        kernel = kernel_basis(a)
-    record = (res.d, res.u.entries, res.v.entries, kernel.entries, stats.reductions)
+    record = (res.u.entries, res.v.entries, stats.reductions)
     return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_DIGESTS))
+def test_snf_keeps_pinned_factors_and_kernel_bases(case):
+    assert _kept_digest(_pinned_matrix(*case)) == KEPT_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(SNF_DIGESTS))
 def test_snf_reproduces_pinned_transforms(case):
     assert _snf_digest(_pinned_matrix(*case)) == SNF_DIGESTS[case]
+
+
+def _snf_cross_cases():
+    rng = random.Random("snf-cross")
+
+    def draw(rows, cols, entry):
+        return IntMatrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+    def dense():
+        return rng.randint(-100, 100)
+
+    def unit():
+        return rng.choice((-1, 1, 1, 0))
+
+    cases = [draw(50, 5, dense), draw(5, 50, dense)]
+    cases += [draw(n, n + 3, unit) for n in (6, 17, 30)]
+    for rows, cols in ((8, 6), (6, 8)):
+        # zero rows and zero columns
+        a = draw(rows, cols, dense).to_rows()
+        a[2] = [0] * cols
+        for row in a:
+            row[1] = row[-1] = 0
+        cases.append(IntMatrix.from_rows(a))
+    cases += [IntMatrix.zeros(*shape) for shape in ((0, 0), (0, 5), (5, 0), (3, 4))]
+    cases += [draw(n, n, lambda: rng.randint(-10**30, 10**30)) for n in (3, 8, 12)]
+    cases.append(draw(12, 9, lambda: rng.randint(-10**30, 10**30)))
+    return cases
+
+
+def _cross_checked_snf(a):
+    r = snf(a)
+    assert r.d == invariant_factors(a)
+    assert r.u @ a @ r.v == _diag_matrix(r.d, a.rows, a.cols)
+    assert abs(det(r.u)) == 1 and abs(det(r.v)) == 1
+    nonzero = [x for x in r.d if x]
+    assert list(r.d[:len(nonzero)]) == nonzero and r.rank == len(nonzero)
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+    return r
+
+
+@pytest.mark.parametrize("a", _snf_cross_cases(), ids=lambda a: "x".join(map(str, a.shape)))
+def test_snf_cross_checks_against_the_plain_reduction(a):
+    _cross_checked_snf(a)
+
+
+def test_snf_of_low_rank_products_keeps_their_built_in_factors():
+    rng = random.Random("snf-low-rank")
+    for rows, cols in ((9, 7), (12, 12), (7, 15)):
+        left = IntMatrix(rows, 2, [rng.randint(-9, 9) for _ in range(rows * 2)])
+        right = IntMatrix(2, cols, [rng.randint(-9, 9) for _ in range(2 * cols)])
+        # every entry is even and the rank is at most 2
+        r = _cross_checked_snf(left @ _diag_matrix((2, 6), 2, 2) @ right)
+        assert r.rank <= 2 and all(x % 2 == 0 for x in r.d)
+
+
+def test_snf_transforms_stay_small_on_the_criterion_08_matrices():
+    # the first 100 cases of criterion 08 peak at 746 bits (U) and 328
+    # (V); reducing the matrices directly gave U up to 9,933 bits
+    with track_entry_growth() as stats:
+        net = snf_net(random.Random(0), cases=100)
+    assert net.failures == []
+    assert 0 < stats.transform_bits <= 1024
 
 
 def test_invariant_factors_agree_with_snf():
@@ -437,7 +529,8 @@ def test_growth_tracker_records_reductions():
         snf(a)
         kernel_basis(a)
     assert stats.peak_bits >= 4
-    assert len(stats.reductions) == 2
+    # snf's Hermite and Smith stages, then kernel_basis's reduction
+    assert len(stats.reductions) == 3
     assert all(inp <= peak for _, _, inp, peak in stats.reductions)
     assert stats.worst_ratio >= 1.0
 
