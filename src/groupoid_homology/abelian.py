@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 
 def _exact_ints(values) -> list[int]:
@@ -74,8 +74,7 @@ def _all_digits():
         sys.set_int_max_str_digits(limit)
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
     """A finitely generated abelian group, canonically presented.
 
     free_rank is the rank of the free part; torsion is the invariant
@@ -84,24 +83,21 @@ class FgAbGroup:
     from an arbitrary bag of cyclic orders.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        free_rank, *torsion = _exact_ints((self.free_rank, *self.torsion))
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", tuple(torsion))
-        if self.free_rank < 0:
-            raise ValueError(f"free rank must be non-negative, got {self.free_rank}")
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        free_rank, *torsion = _exact_ints((free_rank, *torsion))
+        torsion = tuple(torsion)
+        if free_rank < 0:
+            raise ValueError(f"free rank must be non-negative, got {free_rank}")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"invariant factor must be >= 2, got {d}")
             if prev is not None and d % prev:
-                raise ValueError(
-                    f"torsion {self.torsion} is not a divisibility chain"
-                )
+                raise ValueError(f"torsion {torsion} is not a divisibility chain")
             prev = d
+        return super().__new__(cls, free_rank, torsion)
 
     @classmethod
     def from_orders(cls, free_rank: int, orders=()) -> "FgAbGroup":
@@ -164,26 +160,22 @@ def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     return FgAbGroup.from_orders(0, orders)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
     """Homology groups of a length-k complex: exactly k + 1 entries.
 
     groups[p] is H_p. notes carries free-text provenance lines that the
     command-line tools surface verbatim.
     """
 
-    groups: tuple[FgAbGroup, ...]
-    k: int
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "notes", tuple(self.notes))
-        if len(self.groups) != self.k + 1:
+    def __new__(cls, groups, k: int, notes=()):
+        groups = tuple(groups)
+        if len(groups) != k + 1:
             raise ValueError(
-                f"profile for k={self.k} needs {self.k + 1} groups, "
-                f"got {len(self.groups)}"
+                f"profile for k={k} needs {k + 1} groups, got {len(groups)}"
             )
+        return super().__new__(cls, groups, k, tuple(notes))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * g.free_rank for p, g in enumerate(self.groups))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from math import comb
 
 from .abelian import FgAbGroup
@@ -31,12 +30,17 @@ from .kgraph import (
 from .koszul import build, homology, verify_shift_identity
 
 
-@dataclass
 class NetResult:
-    name: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
+    """What one net found: failures are hard errors, findings disagreements."""
+
+    __slots__ = ("name", "cases", "failures", "findings")
+
+    def __init__(self, name: str, cases: int, failures: list[str] | None = None,
+                 findings: list[str] | None = None):
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.findings = [] if findings is None else findings
 
     @property
     def passed(self) -> bool:
@@ -348,7 +352,6 @@ def run_all(seed: int, cases: dict | None = None) -> list[NetResult]:
 # ---------------------------------------------------------------------------
 # performance workload
 
-@dataclass
 class PerfReport:
     """Timing and entry-growth summary for the reference workload.
 
@@ -357,13 +360,19 @@ class PerfReport:
     strategy actually controls.
     """
 
-    vertices: int
-    k: int
-    elapsed_s: float
-    peak_bits: int
-    worst: tuple[int, int, int, int] | None
-    time_budget_s: float = 60.0
-    ratio_budget: int = 64
+    __slots__ = ("vertices", "k", "elapsed_s", "peak_bits", "worst", "time_budget_s",
+                 "ratio_budget")
+
+    def __init__(self, vertices: int, k: int, elapsed_s: float, peak_bits: int,
+                 worst: tuple[int, int, int, int] | None, time_budget_s: float = 60.0,
+                 ratio_budget: int = 64):
+        self.vertices = vertices
+        self.k = k
+        self.elapsed_s = elapsed_s
+        self.peak_bits = peak_bits
+        self.worst = worst
+        self.time_budget_s = time_budget_s
+        self.ratio_budget = ratio_budget
 
     @property
     def ratio(self) -> float:

@@ -17,8 +17,8 @@ import sys
 
 # perfbench/tracing.py wraps load_instance, dumps, validate, validate_action,
 # to_koszul, homology, ktheory and cubical_homology_rank1 at these names (its
-# WRAPPED list), so keep them imported here by name
-from .checks import DEFAULT_CASES, perf_workload, run_all
+# WRAPPED list), so keep them imported here by name. None comes from checks,
+# which _cmd_check imports for itself.
 from .dr_finite import to_koszul, validate_action
 from .errors import (
     BrokenComplex,
@@ -178,6 +178,9 @@ def _cmd_hk_report(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # only this command runs the nets, so no other command compiles them
+    from .checks import DEFAULT_CASES, perf_workload, run_all
+
     seed = args.seed
     env = os.environ.get("HOMOLOGY_SEED")
     if env is not None:

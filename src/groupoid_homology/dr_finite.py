@@ -8,7 +8,7 @@ with the permutation matrices acting on the free module over the points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .abelian import TRIVIAL, HomologyProfile, direct_sum
@@ -18,8 +18,7 @@ from .exact_linalg import IntMatrix
 from .koszul import KoszulComplex, build, homology
 
 
-@dataclass(frozen=True)
-class ZkAction:
+class ZkAction(namedtuple("ZkAction", "points perms")):
     """k self-maps of {0, .., points-1}, intended to commute and be bijective.
 
     Construction only checks shapes and ranges; bijectivity and
@@ -27,26 +26,24 @@ class ZkAction:
     enforced by to_koszul.
     """
 
-    points: int
-    perms: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", int(self.points))
-        object.__setattr__(
-            self, "perms", tuple(tuple(int(v) for v in p) for p in self.perms)
-        )
-        if self.points < 0:
-            raise DimensionMismatch(f"negative point count {self.points}")
-        for i, p in enumerate(self.perms):
-            if len(p) != self.points:
+    def __new__(cls, points: int, perms):
+        points = int(points)
+        perms = tuple(tuple(int(v) for v in p) for p in perms)
+        if points < 0:
+            raise DimensionMismatch(f"negative point count {points}")
+        for i, p in enumerate(perms):
+            if len(p) != points:
                 raise DimensionMismatch(
-                    f"permutation {i} has {len(p)} images for {self.points} points"
+                    f"permutation {i} has {len(p)} images for {points} points"
                 )
             for v in p:
-                if not 0 <= v < self.points:
+                if not 0 <= v < points:
                     raise DimensionMismatch(
-                        f"permutation {i} maps to {v}, outside 0..{self.points - 1}"
+                        f"permutation {i} maps to {v}, outside 0..{points - 1}"
                     )
+        return super().__new__(cls, points, perms)
 
     @property
     def k(self) -> int:

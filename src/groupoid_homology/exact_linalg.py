@@ -31,9 +31,9 @@ a dense reference for that split.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import add, mul, neg, sub
 
@@ -218,7 +218,6 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 # entry-growth instrumentation
 
-@dataclass
 class EntryGrowthStats:
     """Peak entry bit-length observed inside integer reductions.
 
@@ -229,9 +228,13 @@ class EntryGrowthStats:
     that snf returned.
     """
 
-    peak_bits: int = 0
-    reductions: list[list[int]] = field(default_factory=list)
-    transform_bits: int = 0
+    __slots__ = ("peak_bits", "reductions", "transform_bits")
+
+    def __init__(self, peak_bits: int = 0, reductions: list[list[int]] | None = None,
+                 transform_bits: int = 0):
+        self.peak_bits = peak_bits
+        self.reductions = [] if reductions is None else reductions
+        self.transform_bits = transform_bits
 
     def begin_reduction(self, rows: int, cols: int, magnitude: int):
         bits = magnitude.bit_length()
@@ -293,18 +296,15 @@ def track_entry_growth():
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "d u v rank")):
     """d, u, v with u @ a @ v = diag(d) padded to a's shape.
 
-    d has length min(rows, cols), entries non-negative, nonzero entries
-    leading and each dividing the next. u and v are unimodular.
+    d is a tuple of length min(rows, cols), entries non-negative, nonzero
+    entries leading and each dividing the next. u and v are unimodular
+    IntMatrix; rank counts the nonzero entries of d.
     """
 
-    d: tuple[int, ...]
-    u: IntMatrix
-    v: IntMatrix
-    rank: int
+    __slots__ = ()
 
 
 def _pick_pivot(A, stats):

@@ -14,7 +14,7 @@ only conjecturally beyond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .abelian import TRIVIAL, FgAbGroup, HomologyProfile, direct_sum, tensor, tor
@@ -30,8 +30,7 @@ from .exact_linalg import IntMatrix, cokernel
 from .koszul import build, homology
 
 
-@dataclass(frozen=True)
-class KGraphSkeleton:
+class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sources")):
     """Vertex labels plus k square vertex matrices of matching size.
 
     Construction checks shapes only; semantic requirements (entries
@@ -39,24 +38,22 @@ class KGraphSkeleton:
     reported by validate.
     """
 
-    vertices: tuple[str, ...]
-    matrices: tuple[IntMatrix, ...]
-    allow_sources: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(str(v) for v in self.vertices))
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        object.__setattr__(self, "allow_sources", bool(self.allow_sources))
-        n = len(self.vertices)
+    def __new__(cls, vertices, matrices, allow_sources: bool = False):
+        vertices = tuple(str(v) for v in vertices)
+        matrices = tuple(matrices)
+        n = len(vertices)
         if n == 0:
             raise DimensionMismatch("a skeleton needs at least one vertex")
-        if not self.matrices:
+        if not matrices:
             raise DimensionMismatch("a skeleton needs at least one vertex matrix")
-        for i, m in enumerate(self.matrices):
+        for i, m in enumerate(matrices):
             if m.shape != (n, n):
                 raise DimensionMismatch(
                     f"matrices[{i}] has shape {m.shape}, expected ({n}, {n})"
                 )
+        return super().__new__(cls, vertices, matrices, bool(allow_sources))
 
     @property
     def k(self) -> int:
@@ -135,9 +132,8 @@ def _homology_of_valid(s: KGraphSkeleton) -> HomologyProfile:
     return homology(c, notes=tuple(notes))
 
 
-@dataclass(frozen=True)
-class KTheoryResult:
-    """K_0 and K_1 of the groupoid C*-algebra, with provenance.
+class KTheoryResult(namedtuple("KTheoryResult", "k0 k1 method")):
+    """K_0 and K_1 (FgAbGroup each) of the groupoid C*-algebra, with provenance.
 
     method records which wiring produced the answer: "rank1" and
     "rank2" are backed by structural results; "conjectural-k>=3"
@@ -145,9 +141,7 @@ class KTheoryResult:
     from method, so the two cannot disagree.
     """
 
-    k0: FgAbGroup
-    k1: FgAbGroup
-    method: str
+    __slots__ = ()
 
     @property
     def hk_status(self) -> str:
@@ -315,19 +309,16 @@ def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
     )
 
 
-@dataclass(frozen=True)
-class HkReport:
+class HkReport(namedtuple("HkReport", "profile ktheory cubical notes")):
     """Everything the hk-report command surfaces for one skeleton.
 
-    notes carries the rendered comparison lines; for k = 1 the
-    underlying-graph homology is included so the two invariants can be
-    read side by side.
+    profile is the HomologyProfile and ktheory the KTheoryResult. notes
+    carries the rendered comparison lines; for k = 1 the underlying-graph
+    homology is included as cubical (a HomologyProfile, else None) so the
+    two invariants can be read side by side.
     """
 
-    profile: HomologyProfile
-    ktheory: KTheoryResult
-    cubical: HomologyProfile | None
-    notes: tuple[str, ...]
+    __slots__ = ()
 
 
 def hk_report(s: KGraphSkeleton) -> HkReport:

@@ -11,7 +11,7 @@ package computes for groupoid presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb, prod
 
@@ -22,18 +22,15 @@ from .exact_linalg import IntMatrix, cokernel, invariant_factors
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
 
-@dataclass(frozen=True)
-class KoszulComplex:
+class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
     """The assembled complex: endomorphisms plus materialized boundaries.
 
-    boundaries[p - 1] is the degree-p boundary matrix for 1 <= p <= k,
+    k and m are ints, endos a tuple of k m x m IntMatrix, and
+    boundaries[p - 1] the degree-p boundary matrix for 1 <= p <= k,
     mapping Z^(C(k,p) * m) -> Z^(C(k,p-1) * m).
     """
 
-    k: int
-    m: int
-    endos: tuple[IntMatrix, ...]
-    boundaries: tuple[IntMatrix, ...]
+    __slots__ = ()
 
     def dim(self, p: int) -> int:
         """Rank of the degree-p chain group."""

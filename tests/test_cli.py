@@ -357,3 +357,36 @@ def test_cli_needs_no_numpy(capsys, monkeypatch, tmp_path):
         rc, out, _ = run(capsys, argv)
         assert rc == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+# --- start-up -------------------------------------------------------------------
+
+# runs `python -m groupoid_homology ARGS`, then lists the loaded modules on stderr
+LIST_MODULES = """\
+import runpy, sys
+try:
+    runpy.run_module("groupoid_homology", run_name="__main__")
+finally:
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def test_startup_loads_no_dataclasses_and_no_check_nets(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("HOMOLOGY_SEED", raising=False)
+    src = str(Path(groupoid_homology.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, set(proc.stderr.split())
+
+    argv = ["homology", write(tmp_path, "g.json", TWO_VERTEX)]
+    rc, out, modules = fresh(argv)
+    assert (rc, out) == (0, run(capsys, argv)[1])
+    assert not {"dataclasses", "inspect", "groupoid_homology.checks"} & modules
+    assert "groupoid_homology.cli" in modules
+    # the check command still finds its nets
+    rc, out, modules = fresh(["check", "--cases", "0", "--seed", "0"])
+    assert rc == 0 and out.splitlines()[-1] == "check: PASS (seed 0)"
+    assert "groupoid_homology.checks" in modules

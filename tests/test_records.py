@@ -1,0 +1,177 @@
+"""Semantics of the package's record types, pinned independently of how
+the records are implemented: value equality and hashing, immutability of
+the frozen records, defaults, constructor normalisation, constructor
+errors (type and text), and fresh lists in the mutable records."""
+
+import pytest
+
+from groupoid_homology.abelian import Z, FgAbGroup, HomologyProfile
+from groupoid_homology.checks import NetResult, PerfReport
+from groupoid_homology.dr_finite import ZkAction
+from groupoid_homology.errors import DimensionMismatch
+from groupoid_homology.exact_linalg import EntryGrowthStats, IntMatrix, SnfResult, snf
+from groupoid_homology.kgraph import (
+    HkReport,
+    KGraphSkeleton,
+    KTheoryResult,
+    hk_report,
+    ktheory,
+)
+from groupoid_homology.koszul import KoszulComplex, build
+
+ONE = IntMatrix.from_rows([[2]])
+TWO = IntMatrix.from_rows([[1, 1], [0, 1]])
+
+
+def _frozen_examples():
+    """(record, a second record built from equal fields, a record that differs)."""
+    prof = HomologyProfile((Z, Z), 1)
+    sk = KGraphSkeleton(("v",), (IntMatrix.from_rows([[3]]),))
+    return [
+        (FgAbGroup(2, (3,)), FgAbGroup(2, [3]), FgAbGroup(2, (6,))),
+        (prof, HomologyProfile([Z, Z], 1, []), HomologyProfile((Z, Z), 1, ("n",))),
+        (ZkAction(2, ((1, 0),)), ZkAction(2, [[1, 0]]), ZkAction(2, ((0, 1),))),
+        (sk, KGraphSkeleton(["v"], [IntMatrix.from_rows([[3]])]),
+         KGraphSkeleton(("v",), sk.matrices, allow_sources=True)),
+        (KTheoryResult(Z, Z, "rank1"), KTheoryResult(Z, Z, "rank1"),
+         KTheoryResult(Z, Z, "rank2")),
+        (hk_report(sk), hk_report(KGraphSkeleton(("v",), sk.matrices)),
+         HkReport(prof, ktheory(sk), None, ())),
+        (build(1, [ONE]), build(1, [IntMatrix.from_rows([[2]])]), build(1, [TWO])),
+        (snf(TWO), SnfResult((1, 1), snf(TWO).u, snf(TWO).v, 2),
+         SnfResult((1, 1), snf(TWO).u, snf(TWO).v, 1)),
+    ]
+
+
+@pytest.mark.parametrize("a, b, other", _frozen_examples(),
+                         ids=lambda r: type(r).__name__)
+def test_frozen_records_compare_and_hash_by_value(a, b, other):
+    assert type(a) is type(b) is type(other)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other
+    assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("rec", [a for a, _, _ in _frozen_examples()],
+                         ids=lambda r: type(r).__name__)
+def test_frozen_records_refuse_assignment(rec):
+    field = {"FgAbGroup": "free_rank", "HomologyProfile": "k", "ZkAction": "points",
+             "KGraphSkeleton": "allow_sources", "KTheoryResult": "method",
+             "HkReport": "notes", "KoszulComplex": "m", "SnfResult": "rank"}
+    name = field[type(rec).__name__]
+    before = getattr(rec, name)
+    with pytest.raises(AttributeError):
+        setattr(rec, name, before)
+    with pytest.raises(AttributeError):
+        rec.not_a_field = 1
+    assert getattr(rec, name) == before
+
+
+def test_fields_and_defaults():
+    assert FgAbGroup(3).torsion == ()
+    assert FgAbGroup(free_rank=1, torsion=(2, 4)).torsion == (2, 4)
+    assert HomologyProfile((Z,), 0).notes == ()
+    sk = KGraphSkeleton(("v",), (ONE,))
+    assert sk.allow_sources is False
+    assert sk.k == 1
+    kt = KTheoryResult(k0=Z, k1=FgAbGroup(0), method="conjectural-k>=3")
+    assert (kt.k0, kt.k1, kt.method, kt.hk_status) == (Z, FgAbGroup(0), "conjectural-k>=3",
+                                                        "conjectural")
+    assert KTheoryResult(Z, Z, "rank2").hk_status == "verified-structurally"
+    c = KoszulComplex(k=1, m=1, endos=(ONE,), boundaries=(ONE,))
+    assert (c.k, c.m, c.endos, c.boundaries) == (1, 1, (ONE,), (ONE,))
+    r = SnfResult(d=(1,), u=ONE, v=ONE, rank=1)
+    assert (r.d, r.u, r.v, r.rank) == ((1,), ONE, ONE, 1)
+    rep = HkReport(profile=HomologyProfile((Z, Z), 1), ktheory=kt, cubical=None,
+                   notes=("x",))
+    assert (rep.cubical, rep.notes) == (None, ("x",))
+    assert ZkAction(points=3, perms=((1, 2, 0),)).k == 1
+
+
+def test_reprs():
+    assert repr(FgAbGroup(1, (2,))) == "FgAbGroup(1, (2,))"
+    assert repr(HomologyProfile((Z,), 0)) == (
+        "HomologyProfile(groups=(FgAbGroup(1, ()),), k=0, notes=())")
+    assert repr(KTheoryResult(Z, Z, "rank1")) == (
+        "KTheoryResult(k0=FgAbGroup(1, ()), k1=FgAbGroup(1, ()), method='rank1')")
+
+
+def test_constructors_normalise():
+    g = FgAbGroup(True + 1, [2, 4])
+    assert g.torsion == (2, 4) and type(g.torsion) is tuple
+    p = HomologyProfile([Z], 0, ["a"])
+    assert p.groups == (Z,) and p.notes == ("a",)
+    a = ZkAction("3", [[1, 2, "0"]])
+    assert a.points == 3 and a.perms == ((1, 2, 0),)
+    sk = KGraphSkeleton([0, 1], [TWO], allow_sources=1)
+    assert sk.vertices == ("0", "1") and sk.matrices == (TWO,)
+    assert sk.allow_sources is True
+
+
+@pytest.mark.parametrize("make, exc, text", [
+    (lambda: FgAbGroup(-1), ValueError, "free rank must be non-negative, got -1"),
+    (lambda: FgAbGroup(0, (1,)), ValueError, "invariant factor must be >= 2, got 1"),
+    (lambda: FgAbGroup(0, (4, 6)), ValueError, "torsion (4, 6) is not a divisibility chain"),
+    (lambda: FgAbGroup(1.5), TypeError, "'float' object cannot be interpreted as an integer"),
+    (lambda: FgAbGroup(0, (2.0,)), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: FgAbGroup(True), TypeError, "expected integers, got a bool"),
+    (lambda: HomologyProfile((Z,), 1), ValueError, "profile for k=1 needs 2 groups, got 1"),
+    (lambda: ZkAction(-1, ()), DimensionMismatch, "negative point count -1"),
+    (lambda: ZkAction(3, ((1, 0),)), DimensionMismatch,
+     "permutation 0 has 2 images for 3 points"),
+    (lambda: ZkAction(2, ((1, 0), (0, 2))), DimensionMismatch,
+     "permutation 1 maps to 2, outside 0..1"),
+    (lambda: ZkAction(2, (("x", 0),)), ValueError,
+     "invalid literal for int() with base 10: 'x'"),
+    (lambda: KGraphSkeleton((), (ONE,)), DimensionMismatch,
+     "a skeleton needs at least one vertex"),
+    (lambda: KGraphSkeleton(("v",), ()), DimensionMismatch,
+     "a skeleton needs at least one vertex matrix"),
+    (lambda: KGraphSkeleton(("v", "w"), (TWO, ONE)), DimensionMismatch,
+     "matrices[1] has shape (1, 1), expected (2, 2)"),
+])
+def test_constructor_errors_keep_type_and_text(make, exc, text):
+    with pytest.raises(exc) as info:
+        make()
+    assert type(info.value) is exc
+    assert str(info.value) == text
+
+
+def test_entry_growth_stats_defaults_and_fresh_lists():
+    a, b = EntryGrowthStats(), EntryGrowthStats()
+    assert (a.peak_bits, a.reductions, a.transform_bits) == (0, [], 0)
+    a.begin_reduction(2, 3, 255)
+    assert a.reductions == [[2, 3, 8, 8]] and b.reductions == []
+    a.peak_bits = 9
+    a.transform_bits = 4
+    assert (a.peak_bits, a.transform_bits) == (9, 4)
+    c = EntryGrowthStats(peak_bits=5, reductions=[[1, 1, 2, 5]])
+    assert (c.peak_bits, c.reductions, c.transform_bits) == (5, [[1, 1, 2, 5]], 0)
+    assert c.worst_reduction() == (1, 1, 2, 5) and c.worst_ratio == 2.5
+
+
+def test_net_result_defaults_and_fresh_lists():
+    a, b = NetResult("snf", 3), NetResult("snf", 3)
+    assert (a.name, a.cases, a.failures, a.findings) == ("snf", 3, [], [])
+    a.failures.append("x")
+    a.findings.append("y")
+    assert b.failures == [] and b.findings == []
+    assert not a.passed and b.passed
+    c = NetResult("kunneth", 2, findings=["f"])
+    assert c.failures == [] and c.findings == ["f"]
+    assert c.line() == "kunneth: 2 pairs, 0 failures, 1 findings"
+    assert NetResult(name="zk-action", cases=1, failures=["z"]).line() == (
+        "zk-action: 1 cases, 1 failures")
+
+
+def test_perf_report_defaults():
+    r = PerfReport(vertices=4, k=2, elapsed_s=0.5, peak_bits=9, worst=(2, 2, 3, 9))
+    assert (r.time_budget_s, r.ratio_budget) == (60.0, 64)
+    assert r.ratio == 3.0 and r.ok
+    r.elapsed_s = 61.0
+    assert not r.ok
+    s = PerfReport(4, 2, 0.5, 9, None, 1.0, 2)
+    assert (s.time_budget_s, s.ratio_budget, s.ratio) == (1.0, 2, 0.0)
+    assert s.lines()[3] == "perf: no reductions recorded"
