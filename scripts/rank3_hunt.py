@@ -43,14 +43,10 @@ def random_skeleton(rng: random.Random, k: int) -> KGraphSkeleton:
 
 def composed_ktheory(a, b) -> tuple[FgAbGroup, FgAbGroup]:
     """Graded composition of factor K-groups (tensor terms plus Tor terms)."""
-    k0 = direct_sum(
-        direct_sum(tensor(a.k0, b.k0), tensor(a.k1, b.k1)),
-        direct_sum(tor(a.k0, b.k1), tor(a.k1, b.k0)),
-    )
-    k1 = direct_sum(
-        direct_sum(tensor(a.k0, b.k1), tensor(a.k1, b.k0)),
-        direct_sum(tor(a.k0, b.k0), tor(a.k1, b.k1)),
-    )
+    k0 = direct_sum(tensor(a.k0, b.k0), tensor(a.k1, b.k1),
+                    tor(a.k0, b.k1), tor(a.k1, b.k0))
+    k1 = direct_sum(tensor(a.k0, b.k1), tensor(a.k1, b.k0),
+                    tor(a.k0, b.k0), tor(a.k1, b.k1))
     return k0, k1
 
 

@@ -18,6 +18,7 @@ from .abelian import TRIVIAL, Z, FgAbGroup, HomologyProfile, direct_sum, tensor,
 from .errors import (
     BrokenComplex,
     DimensionMismatch,
+    GroupoidHomologyError,
     HypothesisViolated,
     NoIntegerSolution,
     NonCommuting,
@@ -93,6 +94,7 @@ __all__ = [
     "xgcd",
     "BrokenComplex",
     "DimensionMismatch",
+    "GroupoidHomologyError",
     "HypothesisViolated",
     "NoIntegerSolution",
     "NonCommuting",

@@ -28,10 +28,11 @@ def _exact_ints(values) -> list[int]:
 def _divisibility_chain(orders) -> tuple[int, ...]:
     """Renormalize cyclic orders into an ascending divisibility chain.
 
-    Any pair (a, b) with a not dividing b is replaced by (gcd, lcm),
-    which preserves the isomorphism class of the direct sum. The product
-    of the list is invariant and each replacement strictly decreases the
-    smaller member, so the passes terminate. Orders equal to 1 vanish.
+    Pass i replaces each pair (t_i, t_j), j > i, with t_i not dividing
+    t_j, by (gcd, lcm), which preserves the isomorphism class of the
+    direct sum. After pass i, t_i divides every later entry, and later
+    passes only take gcds and lcms of those multiples of t_i, so one
+    pass over the pairs i < j leaves a chain. Orders equal to 1 vanish.
     """
     t = []
     for x in _exact_ints(orders):
@@ -39,19 +40,12 @@ def _divisibility_chain(orders) -> tuple[int, ...]:
             raise ValueError(f"cyclic order must be a positive integer, got {x}")
         if x > 1:
             t.append(x)
-    t.sort()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(t)):
-            for j in range(i + 1, len(t)):
-                a, b = t[i], t[j]
-                if b % a:
-                    g = math.gcd(a, b)
-                    t[i], t[j] = g, a * b // g
-                    changed = True
-        if changed:
-            t.sort()
+    for i in range(len(t)):
+        for j in range(i + 1, len(t)):
+            a, b = t[i], t[j]
+            if b % a:
+                g = math.gcd(a, b)
+                t[i], t[j] = g, a * b // g
     return tuple(x for x in t if x > 1)
 
 
@@ -136,22 +130,22 @@ TRIVIAL = FgAbGroup(0, ())
 Z = FgAbGroup(1, ())
 
 
-def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
-    """a (+) b, renormalized so the torsion is again a chain."""
-    return FgAbGroup.from_orders(a.free_rank + b.free_rank, a.torsion + b.torsion)
+def direct_sum(*groups: FgAbGroup) -> FgAbGroup:
+    """The direct sum of the groups, renormalized once into a chain; the
+    trivial group when there are none."""
+    return FgAbGroup.from_orders(
+        sum(g.free_rank for g in groups), [d for g in groups for d in g.torsion]
+    )
 
 
 def tensor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     """a (x) b over Z.
 
     Bilinear over direct sums, with Z (x) Z = Z, Z (x) Z_m = Z_m and
-    Z_m (x) Z_n = Z_gcd(m,n).
+    Z_m (x) Z_n = Z_gcd(m,n), so the torsion-by-torsion part is tor(a, b).
     """
-    orders = []
-    orders.extend(list(a.torsion) * b.free_rank)
-    orders.extend(list(b.torsion) * a.free_rank)
-    orders.extend(math.gcd(s, t) for s in a.torsion for t in b.torsion)
-    return FgAbGroup.from_orders(a.free_rank * b.free_rank, orders)
+    mixed = a.torsion * b.free_rank + b.torsion * a.free_rank
+    return FgAbGroup.from_orders(a.free_rank * b.free_rank, mixed + tor(a, b).torsion)
 
 
 def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
@@ -181,16 +175,10 @@ class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
         return sum((-1) ** p * g.free_rank for p, g in enumerate(self.groups))
 
     def even_sum(self) -> FgAbGroup:
-        acc = TRIVIAL
-        for g in self.groups[0::2]:
-            acc = direct_sum(acc, g)
-        return acc
+        return direct_sum(*self.groups[0::2])
 
     def odd_sum(self) -> FgAbGroup:
-        acc = TRIVIAL
-        for g in self.groups[1::2]:
-            acc = direct_sum(acc, g)
-        return acc
+        return direct_sum(*self.groups[1::2])
 
     def describe(self) -> str:
         return ", ".join(f"H_{p} = {g.describe()}" for p, g in enumerate(self.groups))

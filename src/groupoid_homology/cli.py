@@ -3,10 +3,12 @@
 Subcommands take instance files (see serialize for the schema), print a
 deterministic JSON payload on stdout (or a plain-text report with
 --text), and reserve stderr for a single JSON error object. Exit codes:
-0 success, 1 validation findings or a failed computation, 2 malformed
-input files, 3 rank gates, 141 (128 + SIGPIPE) with nothing on stderr
-when the reader of stdout goes away early, as in `ghom ... | head`. The
-HOMOLOGY_SEED environment variable overrides --seed for the check nets.
+0 success, and for a package error its type's exit_code (see errors):
+1 validation findings or a failed computation, 2 malformed input files
+(and unreadable ones, OSError), 3 rank gates. 141 (128 + SIGPIPE) with
+nothing on stderr when the reader of stdout goes away early, as in
+`ghom ... | head`. The HOMOLOGY_SEED environment variable overrides
+--seed for the check nets.
 """
 
 from __future__ import annotations
@@ -20,18 +22,7 @@ import sys
 # WRAPPED list), so keep them imported here by name. None comes from checks,
 # which _cmd_check imports for itself.
 from .dr_finite import to_koszul, validate_action
-from .errors import (
-    BrokenComplex,
-    DimensionMismatch,
-    HypothesisViolated,
-    NoIntegerSolution,
-    NonCommuting,
-    NotACycle,
-    NotBijective,
-    RankUnsupported,
-    SchemaError,
-    SkeletonInvalid,
-)
+from .errors import BrokenComplex, GroupoidHomologyError, SchemaError, SkeletonInvalid
 from .exact_linalg import IntMatrix
 from .kgraph import (
     KGraphSkeleton,
@@ -52,27 +43,6 @@ from .serialize import (
     output_dict,
     render_output_text,
 )
-
-# exceptions that carry a known exit code; anything else propagates
-_FAILURE_ERRORS = (
-    SkeletonInvalid,
-    HypothesisViolated,
-    NotBijective,
-    NonCommuting,
-    BrokenComplex,
-    NotACycle,
-    NoIntegerSolution,
-    DimensionMismatch,
-)
-
-
-def _exit_code(exc: BaseException) -> int:
-    if isinstance(exc, RankUnsupported):
-        return 3
-    if isinstance(exc, (SchemaError, OSError)):
-        return 2
-    return 1
-
 
 def _emit(payload: dict, text: bool) -> None:
     if text:
@@ -289,12 +259,13 @@ def main(argv=None) -> int:
         # to devnull so that it does not raise again at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (RankUnsupported, SchemaError, OSError) + _FAILURE_ERRORS as exc:
+    except (GroupoidHomologyError, OSError) as exc:
         body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, SkeletonInvalid):
             body["error"]["findings"] = list(exc.findings)
         print(dumps(body), file=sys.stderr)
-        return _exit_code(exc)
+        # an OSError is an unreadable input file, a schema failure
+        return getattr(exc, "exit_code", SchemaError.exit_code)
 
 
 if __name__ == "__main__":

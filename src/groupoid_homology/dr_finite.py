@@ -11,11 +11,17 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .abelian import TRIVIAL, HomologyProfile, direct_sum
+from .abelian import HomologyProfile, _exact_ints, direct_sum
 from .errors import DimensionMismatch, NonCommuting, NotBijective
 from .exact_linalg import IntMatrix
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import KoszulComplex, build, homology
+
+
+def _parsed_ints(values) -> list[int]:
+    """values as ints: numeric strings are parsed, anything else must be
+    an integer, so floats and bools raise TypeError instead of truncating."""
+    return _exact_ints(int(v) if isinstance(v, str) else v for v in values)
 
 
 class ZkAction(namedtuple("ZkAction", "points perms")):
@@ -29,8 +35,8 @@ class ZkAction(namedtuple("ZkAction", "points perms")):
     __slots__ = ()
 
     def __new__(cls, points: int, perms):
-        points = int(points)
-        perms = tuple(tuple(int(v) for v in p) for p in perms)
+        points = _parsed_ints([points])[0]
+        perms = tuple(tuple(_parsed_ints(p)) for p in perms)
         if points < 0:
             raise DimensionMismatch(f"negative point count {points}")
         for i, p in enumerate(perms):
@@ -145,14 +151,8 @@ def orbit_oracle(a: ZkAction) -> HomologyProfile:
     point = build(a.k, [IntMatrix.identity(1)] * a.k, m=1)
     per_orbit = homology(point)
     n_orbits = orbit_count(a)
-    groups = []
-    for g in per_orbit.groups:
-        acc = TRIVIAL
-        for _ in range(n_orbits):
-            acc = direct_sum(acc, g)
-        groups.append(acc)
     return HomologyProfile(
-        tuple(groups),
+        tuple(direct_sum(*[g] * n_orbits) for g in per_orbit.groups),
         a.k,
         (f"orbit decomposition: {n_orbits} orbits on {a.points} points",),
     )

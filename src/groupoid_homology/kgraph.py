@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from math import comb
 
-from .abelian import TRIVIAL, FgAbGroup, HomologyProfile, direct_sum, tensor, tor
+from .abelian import FgAbGroup, HomologyProfile, _exact_ints, direct_sum, tensor, tor
 from .errors import (
     BrokenComplex,
     DimensionMismatch,
@@ -154,22 +154,17 @@ class KTheoryResult(namedtuple("KTheoryResult", "k0 k1 method")):
 def ktheory_from_profile(
     profile: HomologyProfile, allow_conjectural: bool = False
 ) -> KTheoryResult:
-    """Wire a homology profile into K-theory according to its rank.
+    """Wire a homology profile into K-theory: K_0 is the sum of the even
+    homology groups and K_1 the sum of the odd ones.
 
     k = 1: (K_0, K_1) = (H_0, H_1). k = 2: K_0 = H_0 (+) H_2 and
     K_1 = H_1 (both splittings are unconditional). For k >= 3 the same
     even/odd pattern is only a conjecture, so it is computed only on
     request and marked as such.
     """
-    k = profile.k
-    _rank_gate(k, allow_conjectural)
-    if k == 1:
-        return KTheoryResult(profile.groups[0], profile.groups[1], "rank1")
-    if k == 2:
-        return KTheoryResult(
-            direct_sum(profile.groups[0], profile.groups[2]), profile.groups[1], "rank2"
-        )
-    return KTheoryResult(profile.even_sum(), profile.odd_sum(), "conjectural-k>=3")
+    _rank_gate(profile.k, allow_conjectural)
+    method = {1: "rank1", 2: "rank2"}.get(profile.k, "conjectural-k>=3")
+    return KTheoryResult(profile.even_sum(), profile.odd_sum(), method)
 
 
 def _rank_gate(k: int, allow_conjectural: bool) -> None:
@@ -202,7 +197,7 @@ def single_vertex_closed_form(edge_counts) -> HomologyProfile:
     (a gcd with any zero argument is the gcd of the rest). Counts below
     2 fall outside the hypotheses and raise HypothesisViolated.
     """
-    counts = [int(n) for n in edge_counts]
+    counts = _exact_ints(edge_counts)
     if not counts:
         raise HypothesisViolated("need at least one edge count")
     for n in counts:
@@ -251,18 +246,13 @@ def kunneth(pa: HomologyProfile, pb: HomologyProfile) -> HomologyProfile:
     isomorphism classes, not just a constraint.
     """
     k = pa.k + pb.k
-    groups = []
-    for n in range(k + 1):
-        acc = TRIVIAL
-        for i in range(pa.k + 1):
-            j = n - i
-            if 0 <= j <= pb.k:
-                acc = direct_sum(acc, tensor(pa.groups[i], pb.groups[j]))
-        for i in range(pa.k + 1):
-            j = n - 1 - i
-            if 0 <= j <= pb.k:
-                acc = direct_sum(acc, tor(pa.groups[i], pb.groups[j]))
-        groups.append(acc)
+
+    def terms(op, n):
+        """op(pa[i], pb[j]) over i + j = n."""
+        return [op(g, pb.groups[n - i])
+                for i, g in enumerate(pa.groups) if 0 <= n - i <= pb.k]
+
+    groups = [direct_sum(*terms(tensor, n), *terms(tor, n - 1)) for n in range(k + 1)]
     return HomologyProfile(
         tuple(groups), k, ("composed from factor homologies (tensor and Tor terms)",)
     )

@@ -66,21 +66,22 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
     """
-    k = int(k)
+    k = _exact_ints([k])[0]
+    m = None if m is None else _exact_ints([m])[0]
     endos = tuple(endos)
     if len(endos) != k:
         raise DimensionMismatch(f"expected {k} endomorphisms, got {len(endos)}")
     if k == 0:
         if m is None:
             raise DimensionMismatch("a rank-0 complex needs an explicit rank m")
-        return KoszulComplex(0, int(m), (), ())
+        return KoszulComplex(0, m, (), ())
     m0 = endos[0].rows
     for s in endos:
         if s.rows != s.cols or s.rows != m0:
             raise DimensionMismatch(
                 f"endomorphisms must all be square of one size; got {s.shape}"
             )
-    if m is not None and int(m) != m0:
+    if m is not None and m != m0:
         raise DimensionMismatch(f"m={m} disagrees with endomorphism size {m0}")
 
     diffs = [IntMatrix.identity(m0) - s for s in endos]
@@ -178,7 +179,7 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     ranks give both lattices the same saturation, and that product is
     the index of a lattice in its saturation.
     """
-    p = int(degree)
+    p = _exact_ints([degree])[0]
     if not 0 <= p <= c.k:
         raise ValueError(f"degree {p} outside 0..{c.k}")
     if not 0 <= i < c.k:

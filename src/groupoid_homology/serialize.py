@@ -85,10 +85,13 @@ def _parse_kgraph(obj: dict) -> KGraphSkeleton:
                 f"matrices[{i}]: expected {n * n} row-major entries for "
                 f"{n} vertices, got {len(flat)}"
             )
-        entries = [
-            _as_int(x, f"matrices[{i}][{j}]") for j, x in enumerate(flat)
-        ]
-        parsed.append(IntMatrix(n, n, entries))
+        try:
+            parsed.append(IntMatrix(n, n, flat))
+        except TypeError:
+            j = next(j for j, x in enumerate(flat) if type(x) is not int)
+            raise SchemaError(
+                f"matrices[{i}][{j}]: expected an integer, got {flat[j]!r}"
+            ) from None
     allow_sources = obj.get("allow_sources", False)
     if not isinstance(allow_sources, bool):
         raise SchemaError(

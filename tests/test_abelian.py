@@ -1,4 +1,5 @@
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -9,10 +10,12 @@ from groupoid_homology.abelian import (
     Z,
     FgAbGroup,
     HomologyProfile,
+    _divisibility_chain,
     direct_sum,
     tensor,
     tor,
 )
+from groupoid_homology.exact_linalg import IntMatrix, invariant_factors
 
 orders = st.lists(st.integers(2, 30), max_size=5)
 groups = st.builds(
@@ -75,6 +78,35 @@ def test_direct_sum_adds_ranks_and_merges_torsion(a, b):
 def test_direct_sum_renormalizes_to_invariant_factors():
     assert direct_sum(FgAbGroup.cyclic(2), FgAbGroup.cyclic(3)).torsion == (6,)
     assert direct_sum(FgAbGroup.cyclic(2), FgAbGroup.cyclic(2)).torsion == (2, 2)
+
+
+def test_one_pass_chain_is_the_smith_form_of_the_diagonal():
+    # bags with 1s, repeated small primes and prime powers of 2^61 - 1,
+    # against the invariant factors > 1 of diag(bag) from the Smith engine
+    rng = random.Random(0)
+    primes = (2, 3, 5, 7, 2**61 - 1)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        bag = [math.prod(p ** rng.choice((0, 0, 1, 2, 5)) for p in primes)
+               for _ in range(n)]
+        diag = IntMatrix(n, n, [bag[i] if i == j else 0
+                                for i in range(n) for j in range(n)])
+        expected = tuple(d for d in invariant_factors(diag) if d > 1)
+        assert _divisibility_chain(bag) == expected, bag
+
+
+@given(st.lists(groups, max_size=6))
+def test_n_ary_sum_equals_the_pairwise_fold(gs):
+    acc = TRIVIAL
+    for g in gs:
+        acc = direct_sum(acc, g)
+    assert direct_sum(*gs) == acc
+
+
+@given(groups)
+def test_sum_of_one_group_is_that_group(g):
+    assert direct_sum() == TRIVIAL
+    assert direct_sum(g) == g
 
 
 def test_tensor_rules():

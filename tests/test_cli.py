@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import groupoid_homology
-from groupoid_homology import checks
+from groupoid_homology import checks, cli, errors
 from groupoid_homology.cli import main
 
 TWO_VERTEX = {
@@ -190,6 +190,21 @@ def test_overlong_integer_literal_is_a_schema_failure(capsys, tmp_path):
     assert json.loads(err)["error"]["message"].startswith(f"{path}: invalid JSON at line 1")
 
 
+@pytest.mark.parametrize("entry, shown", [
+    (2.5, "2.5"), (True, "True"), ("3", "'3'"), (None, "None"), ([1], "[1]"),
+])
+def test_non_integer_matrix_entry_is_a_schema_failure(capsys, tmp_path, entry, shown):
+    # the first entry that is not an int is named, not a later float
+    bad = {"kind": "kgraph", "k": 2, "vertices": ["v", "w"],
+           "matrices": [[1, 0, 0, 1], [1, 0, entry, 2.0]]}
+    rc, out, err = run(capsys, ["homology", write(tmp_path, "g.json", bad)])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "SchemaError",
+        "message": f"matrices[1][2]: expected an integer, got {shown}",
+    }
+
+
 def test_non_utf8_instance_is_a_schema_failure(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_bytes(b'{"kind": "kgraph", "k": 1, "vertices": ["v\xff"], "matrices": [[2]]}')
@@ -251,6 +266,36 @@ def test_rank_gates_use_their_own_exit_code(capsys, tmp_path):
 
     rc, _, _ = run(capsys, ["cubical", write(tmp_path, "h.json", RANK2)])
     assert rc == 3
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, BaseException)
+     and c.__module__ == errors.__name__),
+    key=lambda c: c.__name__,
+)
+
+
+@pytest.mark.parametrize("exc_type", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_type_exits_with_its_documented_code(capsys, monkeypatch, exc_type):
+    assert issubclass(exc_type, errors.GroupoidHomologyError)
+    exc = exc_type(["first finding", "second"]) if exc_type is errors.SkeletonInvalid \
+        else exc_type("boom")
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_homology", raise_it)
+    rc, out, err = run(capsys, ["homology", "unused.json"])
+    assert rc == {"SchemaError": 2, "RankUnsupported": 3}.get(exc_type.__name__, 1)
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == exc_type.__name__
+    assert payload["message"] == str(exc)
+    if exc_type is errors.SkeletonInvalid:
+        assert payload["findings"] == ["first finding", "second"]
+    else:
+        assert "findings" not in payload
 
 
 def test_conjectural_opt_in_unlocks_higher_rank(capsys, tmp_path):

@@ -203,6 +203,13 @@ def test_closed_form_small_cases():
     assert [g.describe() for g in prof.groups] == ["Z_2", "Z_2 (+) Z_2", "Z_2", "0"]
 
 
+def test_closed_form_refuses_non_integral_edge_counts():
+    with pytest.raises(TypeError):
+        single_vertex_closed_form([2.9, 3])
+    with pytest.raises(TypeError):
+        single_vertex_closed_form([3, 3.0])
+
+
 def test_closed_form_rejects_small_edge_counts():
     with pytest.raises(HypothesisViolated):
         single_vertex_closed_form([])

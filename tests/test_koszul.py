@@ -198,6 +198,21 @@ def test_rank0_needs_explicit_dimension():
     assert prof.groups == (FgAbGroup.free(3),)
 
 
+def test_build_refuses_a_non_integral_rank():
+    # int(1.9) would build a rank-1 complex from a rank-1.9 request
+    with pytest.raises(TypeError):
+        build(1.9, one_by_one(3))
+    with pytest.raises(TypeError):
+        build(True, one_by_one(3))
+
+
+def test_build_refuses_a_non_integral_module_rank():
+    with pytest.raises(TypeError):
+        build(0, [], m=2.5)
+    with pytest.raises(TypeError):
+        build(1, one_by_one(3), m=1.0)
+
+
 # --- homology -------------------------------------------------------------
 
 def test_rank1_two_fold_cover_is_acyclic():
@@ -285,6 +300,12 @@ def test_shift_identity_on_hand_cycle():
     c = build(2, one_by_one(3, 5))
     assert verify_shift_identity(c, 0, 1, [(2, -1)])
     assert verify_shift_identity(c, 1, 1, [(2, -1)])
+
+
+def test_shift_identity_refuses_a_non_integral_degree():
+    c = build(2, one_by_one(3, 5))
+    with pytest.raises(TypeError):
+        verify_shift_identity(c, 0, 1.5, [(2, -1)])
 
 
 def test_shift_identity_rejects_non_cycles():

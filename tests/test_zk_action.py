@@ -20,6 +20,17 @@ THREE_CYCLE = ZkAction(3, ((1, 2, 0),))
 TWO_SWAPS = ZkAction(4, ((1, 0, 3, 2),))
 
 
+def test_constructor_refuses_non_integral_points_and_images():
+    with pytest.raises(TypeError):
+        ZkAction(3, [[0.7, 1, 2.9]])
+    with pytest.raises(TypeError):
+        ZkAction(2.0, [[1, 0]])
+    with pytest.raises(TypeError):
+        ZkAction(2, [[True, 0]])
+    # numeric strings are still parsed
+    assert ZkAction("2", [["1", 0]]).perms == ((1, 0),)
+
+
 def perm_power(p, e):
     q = list(range(len(p)))
     for _ in range(e):
