@@ -22,11 +22,13 @@ operations on V are row operations too. Products skip the zero entries
 of their left factor, so composing sparse boundaries costs about nnz
 times the row length.
 
-cokernel alone splits its matrix into the connected blocks of its
-support and reduces each block on its own: up to row and column order
-the matrix is block diagonal, so its cokernel is the direct sum of
-theirs. The other functions reduce the whole matrix, which keeps them
-a dense reference for that split.
+cokernel alone works sparse. _eliminate first takes out pivots that
+divide their row and column, on {col: value} rows; the core left
+over is split into the connected blocks of its support, and each block
+is reduced with its wide side as rows. The boundaries of a torus orbit
+and of a single vertex with every count 3 leave no core at all. The
+other functions reduce the whole dense matrix, which keeps them a
+reference for cokernel.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from __future__ import annotations
 from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
+from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
+from math import gcd
 from operator import add, mul, neg, sub
 
 from .abelian import FgAbGroup, _exact_ints
@@ -221,9 +225,10 @@ class IntMatrix:
 class EntryGrowthStats:
     """Peak entry bit-length observed inside integer reductions.
 
-    Each diagonal reduction is recorded as [rows, cols, input_bits,
-    peak_bits] so growth can be judged against what that reduction was
-    actually given, not against the first matrix in a pipeline.
+    Each diagonal reduction and each elimination of cokernel is recorded
+    as [rows, cols, input_bits, peak_bits] so growth can be judged
+    against what that reduction was actually given, not against the
+    first matrix in a pipeline.
     transform_bits is the bit length of the largest entry of any U or V
     that snf returned.
     """
@@ -498,10 +503,6 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def rank(a: IntMatrix) -> int:
-    return sum(1 for x in invariant_factors(a) if x)
-
-
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Primitive basis of the kernel lattice {x in Z^cols : a @ x = 0}.
 
@@ -552,26 +553,100 @@ def _blocks(a: IntMatrix) -> list[tuple[list[int], list[int]]]:
     return blocks
 
 
+def _eliminate(a: IntMatrix):
+    """Sparse elimination of divisible pivots; return (orders, core).
+
+    A pivot is an entry x that divides every entry of its row and of its
+    column. Subtracting (a_kj / x) times row i from every other row k
+    with a nonzero in column j clears the column; the column operations
+    that clear row i only touch row i, so they are implied. Both steps
+    are integral and unimodular and leave diag(x) (+) A', so coker(a) is
+    Z_x (+) coker(A') (Kaczynski, Mrozek and Slusarek 1998; Dumas,
+    Heckenbach, Saunders and Welker 2003). Units are the common case.
+
+    Rows are {col: value} dicts, and each column keeps the set of rows
+    where it is nonzero. Rows wait in a lazy heap keyed by (gcd, length,
+    index); the popped row pivots on its +-gcd entry whose column has the
+    fewest nonzeros, among those that divide their column. A row with no
+    such entry is taken up again only when an elimination changes it, so
+    the core may keep a divisible entry; it is then reduced like the
+    rest. orders holds |x| of each pivot; core is what is left,
+    restricted to its nonzero rows and columns.
+    """
+    stats = _TRACK.get()
+    if stats is not None:
+        stats.begin_reduction(a.rows, a._ncols, _max_abs(a._data))
+    rows = [dict(compress(enumerate(row), row)) for row in a._data]
+    cols = [set() for _ in range(a._ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    queued = {i: (gcd(*row.values()), len(row)) for i, row in enumerate(rows) if row}
+    heap = [(*key, i) for i, key in queued.items()]
+    heapify(heap)
+    orders = []
+    while heap:
+        g, n, i = heappop(heap)
+        if queued.get(i) != (g, n):
+            continue
+        del queued[i]
+        row = rows[i]
+        j = min((j for j, x in row.items() if abs(x) == g and (
+            g == 1 or all(rows[k][j] % g == 0 for k in cols[j]))),
+            key=lambda j: (len(cols[j]), j), default=None)
+        if j is None:
+            continue
+        for c in row:
+            cols[c].discard(i)
+        x = row.pop(j)
+        orders.append(g)
+        rows[i] = {}
+        touched, cols[j] = cols[j], set()
+        for k in touched:
+            rk = rows[k]
+            q = rk.pop(j) // x
+            for c, v in row.items():
+                w = rk.pop(c, 0) - q * v
+                if w:
+                    rk[c] = w
+                    cols[c].add(k)
+                else:
+                    cols[c].discard(k)
+            if rk:
+                key = (gcd(*rk.values()), len(rk))
+                if queued.get(k) != key:
+                    queued[k] = key
+                    heappush(heap, (*key, k))
+            else:
+                queued.pop(k, None)
+        if stats is not None:
+            stats.note_int(_max_abs([rows[k].values() for k in touched]))
+    live = [j for j, rs in enumerate(cols) if rs]
+    core = [[row.get(j, 0) for j in live] for row in rows if row]
+    return orders, IntMatrix._wrap(core, len(live))
+
+
 def cokernel(a: IntMatrix) -> FgAbGroup:
     """Z^rows modulo the column span of a.
 
     Free rank is rows - rank; the invariant factors > 1 are the torsion.
-    When the support of a has two or more connected blocks (_blocks),
-    each block's submatrix is reduced on its own: a is block diagonal
-    up to row and column order, so its cokernel is the direct sum of
-    the blocks' cokernels and a Z per zero row. from_orders renormalizes
-    the torsion of all blocks (Z_2 from one block and Z_3 from another
-    give Z_6). A matrix with fewer blocks is reduced whole.
+    _eliminate takes out divisible pivots first. The core it leaves
+    is split into the connected blocks of its support (_blocks): up to
+    row and column order it is block diagonal, so its cokernel is the
+    direct sum of the blocks' cokernels and a Z per zero row. Each block
+    is reduced by invariant_factors with its wide side as rows, since a
+    matrix and its transpose have the same invariant factors and
+    _smithify does one row operation per row per clearing pass.
+    from_orders renormalizes the torsion of all pivots and blocks (Z_2
+    from one block and Z_3 from another give Z_6).
     """
-    blocks = _blocks(a)
-    if len(blocks) < 2:
-        diag = invariant_factors(a)
-    else:
-        data = a._data
-        diag = [x for rows, cols in blocks for x in invariant_factors(
-            IntMatrix._wrap(([data[i][j] for j in cols] for i in rows), len(cols)))]
-    r = sum(1 for x in diag if x)
-    return FgAbGroup.from_orders(a.rows - r, [x for x in diag if x > 1])
+    orders, core = _eliminate(a)
+    data = core._data
+    for rows, cols in _blocks(core):
+        block = IntMatrix._wrap(([data[i][j] for j in cols] for i in rows), len(cols))
+        orders += invariant_factors(block.transpose() if len(rows) > len(cols) else block)
+    r = sum(1 for x in orders if x)
+    return FgAbGroup.from_orders(a.rows - r, [x for x in orders if x > 1])
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -626,7 +701,3 @@ def det(a: IntMatrix) -> int:
              for row in M[1:]]
         prev = piv
     return sign * M[0][0]
-
-
-def is_unimodular(a: IntMatrix) -> bool:
-    return a.rows == a.cols and det(a) in (1, -1)

@@ -30,7 +30,7 @@ import sys
 
 from .abelian import FgAbGroup, HomologyProfile, _all_digits
 from .dr_finite import ZkAction
-from .errors import SchemaError
+from .errors import DimensionMismatch, SchemaError
 from .exact_linalg import IntMatrix
 from .kgraph import KGraphSkeleton, KTheoryResult
 
@@ -109,23 +109,27 @@ def _parse_zk_action(obj: dict) -> ZkAction:
         raise SchemaError(
             f"permutations: expected {k} permutations for k={k}, got {len(perms)}"
         )
-    parsed = []
+    # one pass through ZkAction when every image list has the right
+    # length and no string, which ZkAction would parse; on any fault the
+    # scan below finds the first one in reading order for its message
+    if all(type(p) is list and len(p) == points and str not in map(type, p)
+           for p in perms):
+        try:
+            return ZkAction(points, perms)
+        except (TypeError, DimensionMismatch):
+            pass
     for i, p in enumerate(perms):
         p = _as_list(p, f"permutations[{i}]")
         if len(p) != points:
             raise SchemaError(
                 f"permutations[{i}]: expected {points} images, got {len(p)}"
             )
-        images = []
         for j, v in enumerate(p):
-            v = _as_int(v, f"permutations[{i}][{j}]")
-            if not 0 <= v < points:
+            if not 0 <= _as_int(v, f"permutations[{i}][{j}]") < points:
                 raise SchemaError(
                     f"permutations[{i}][{j}]: value {v} outside 0..{points - 1}"
                 )
-            images.append(v)
-        parsed.append(tuple(images))
-    return ZkAction(points, tuple(parsed))
+    raise AssertionError("ZkAction refused images that the scan accepts")
 
 
 def parse_instance(obj) -> KGraphSkeleton | ZkAction:

@@ -205,6 +205,26 @@ def test_non_integer_matrix_entry_is_a_schema_failure(capsys, tmp_path, entry, s
     }
 
 
+@pytest.mark.parametrize("image, message", [
+    (2.0, "expected an integer, got 2.0"),
+    (True, "expected an integer, got True"),
+    ("2", "expected an integer, got '2'"),
+    (3, "value 3 outside 0..2"),
+    (-1, "value -1 outside 0..2"),
+])
+def test_bad_permutation_image_is_a_schema_failure(capsys, tmp_path, image, message):
+    # the first bad image in reading order is named, not a later float
+    # or the short permutation after it
+    bad = {"kind": "zk_action", "k": 3, "points": 3,
+           "permutations": [[1, 2, 0], [0, image, 1.5], [0, 1]]}
+    rc, out, err = run(capsys, ["homology", write(tmp_path, "a.json", bad)])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "SchemaError",
+        "message": f"permutations[1][1]: {message}",
+    }
+
+
 def test_non_utf8_instance_is_a_schema_failure(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_bytes(b'{"kind": "kgraph", "k": 1, "vertices": ["v\xff"], "matrices": [[2]]}')

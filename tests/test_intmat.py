@@ -13,18 +13,26 @@ from groupoid_homology.errors import DimensionMismatch, NoIntegerSolution
 from groupoid_homology.exact_linalg import (
     IntMatrix,
     _blocks,
+    _eliminate,
     cokernel,
     det,
     invariant_factors,
-    is_unimodular,
     kernel_basis,
-    rank,
     snf,
     solve_columns,
     track_entry_growth,
     xgcd,
 )
 from groupoid_homology.kgraph import groupoid_homology
+from groupoid_homology.koszul import build
+
+
+def rank(a: IntMatrix) -> int:
+    return sum(1 for x in invariant_factors(a) if x)
+
+
+def is_unimodular(a: IntMatrix) -> bool:
+    return a.rows == a.cols and det(a) in (1, -1)
 
 
 @st.composite
@@ -416,13 +424,80 @@ def split_matrices(draw):
     )
 
 
+def _whole(a: IntMatrix) -> FgAbGroup:
+    """The cokernel from the invariant factors of the whole matrix."""
+    diag = invariant_factors(a)
+    r = sum(1 for x in diag if x)
+    return FgAbGroup.from_orders(a.rows - r, [x for x in diag if x > 1])
+
+
 @settings(deadline=None, max_examples=150)
 @given(split_matrices())
 def test_split_cokernel_matches_the_whole_matrix_reduction(a):
-    diag = invariant_factors(a)
-    rank_a = sum(1 for x in diag if x)
-    whole = FgAbGroup.from_orders(a.rows - rank_a, [x for x in diag if x > 1])
-    assert cokernel(a) == whole
+    assert cokernel(a) == _whole(a)
+
+
+def _shuffled_blocks(rng, blocks, zero_rows=0, zero_cols=0) -> IntMatrix:
+    """The blocks on a diagonal, plus zero rows and columns, shuffled."""
+    rows = sum(len(b) for b in blocks) + zero_rows
+    cols = sum(len(b[0]) if b else 0 for b in blocks) + zero_cols
+    grid = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            grid[r0 + i][c0:c0 + len(row)] = row
+        r0, c0 = r0 + len(b), c0 + (len(b[0]) if b else 0)
+    row_order, col_order = list(range(rows)), list(range(cols))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    return IntMatrix.from_rows([[grid[i][j] for j in col_order] for i in row_order],
+                               cols=cols)
+
+
+# entries of the seeded cokernel net: mostly units, all +-2 (no unit
+# pivot, but divisible ones), gcd 1 without units, and beyond a word
+NET_ENTRIES = {
+    "units": (0, 0, 0, 1, -1, 1, -1, 2, 3),
+    "twos": (0, 0, 2, -2),
+    "mixed": (0, 0, 1, -1, 2, -3, 4, 6, 10, 15),
+    "huge": (0, 0, 1, -1, 10**30, -10**30, 10**30 + 1, 2 * 10**30),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NET_ENTRIES))
+def test_eliminating_cokernel_matches_the_whole_matrix_reduction(kind):
+    rng = random.Random(f"cokernel-net/{kind}")
+    values = NET_ENTRIES[kind]
+    for _ in range(150):
+        blocks = [[[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+                  for rows, cols in ((rng.randint(0, 6), rng.randint(1, 6))
+                                     for _ in range(rng.randint(1, 3)))]
+        a = _shuffled_blocks(rng, blocks, rng.randint(0, 2), rng.randint(0, 2))
+        assert cokernel(a) == _whole(a), a
+    for shape in ((0, 0), (0, 3), (3, 0), (2, 2)):
+        a = IntMatrix.zeros(*shape)
+        assert cokernel(a) == _whole(a) == FgAbGroup(shape[0], ())
+
+
+def test_cokernel_without_a_divisible_pivot_reduces_every_block():
+    # gcd 1 with no unit entry, or a row gcd that no entry equals
+    no_pivot = ([[2, 3], [3, 2]], [[6, 10, 15]], [[6], [10], [15]], [[4, 6], [6, 4]])
+    rng = random.Random("cokernel-no-pivot")
+    for _ in range(40):
+        blocks = [rng.choice(no_pivot) for _ in range(rng.randint(1, 4))]
+        a = _shuffled_blocks(rng, blocks, rng.randint(0, 2), rng.randint(0, 2))
+        orders, core = _eliminate(a)
+        assert orders == []
+        assert core.shape == (sum(map(len, blocks)), sum(len(b[0]) for b in blocks))
+        assert cokernel(a) == _whole(a), a
+
+
+def test_cokernel_matches_the_whole_reduction_on_perf_skeleton_boundaries():
+    for seed, n in ((0, 8), (1, 12), (2, 20)):
+        sk = perf_skeleton(seed, n)
+        c = build(sk.k, [m.transpose() for m in sk.matrices], m=n)
+        for p in range(1, c.k + 1):
+            assert cokernel(c.boundary(p)) == _whole(c.boundary(p))
 
 
 def test_blocks_are_the_support_components():
@@ -441,12 +516,20 @@ def test_blocks_are_the_support_components():
 
 
 def test_split_cokernel_renormalizes_torsion_across_blocks():
-    # Z_2 from one block and Z_3 from the other: Z_6, one reduction each
+    # Z_2 from one pivot and Z_3 from the other: Z_6. Both entries are
+    # eliminated, so the elimination is the only reduction
     a = IntMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 3, 0]])
     with track_entry_growth() as stats:
         c = cokernel(a)
     assert c == FgAbGroup(1, (6,))
-    assert stats.reductions == [[1, 1, 2, 2], [1, 1, 2, 2]]
+    assert stats.reductions == [[3, 3, 2, 2]]
+    # two blocks with no divisible pivot, Z_5 and Z_7: Z_35, one
+    # reduction each after the elimination
+    a = IntMatrix.from_rows([[2, 3, 0, 0], [0, 0, 3, 4], [3, 2, 0, 0], [0, 0, 4, 3]])
+    with track_entry_growth() as stats:
+        c = cokernel(a)
+    assert c == FgAbGroup(0, (35,))
+    assert stats.reductions == [[4, 4, 3, 3], [2, 2, 2, 3], [2, 2, 3, 3]]
 
 
 # --- integer solving ------------------------------------------------------
@@ -536,8 +619,10 @@ def test_growth_tracker_records_reductions():
 
 
 def test_growth_records_of_the_perf_skeleton_are_pinned():
-    # [rows, cols, input bits, peak bits] of each boundary's reduction
+    # [rows, cols, input bits, peak bits] of each boundary's elimination,
+    # then of its core, reduced with the wide side as rows
     with track_entry_growth() as stats:
         groupoid_homology(perf_skeleton(0, 40))
-    assert stats.reductions == [[40, 80, 4, 77], [80, 40, 4, 75], [40, 0, 0, 0]]
-    assert stats.peak_bits == 77
+    assert stats.reductions == [[40, 80, 4, 31], [16, 56, 31, 77],
+                                [80, 40, 4, 35], [16, 56, 35, 78], [40, 0, 0, 0]]
+    assert stats.peak_bits == 78

@@ -169,6 +169,8 @@ def test_rank3_gate_fires_before_any_reduction(monkeypatch):
         raise AssertionError("the rank gate must come before any reduction")
 
     monkeypatch.setattr(exact_linalg, "_smithify", no_reductions)
+    # cokernel eliminates the 1x1 [3] boundaries without _smithify
+    monkeypatch.setattr(exact_linalg, "_eliminate", no_reductions)
     sk = KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [3]) for _ in range(3)))
     with pytest.raises(RankUnsupported):
         ktheory(sk)

@@ -4,7 +4,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from groupoid_homology import koszul
+from groupoid_homology import exact_linalg, koszul
+from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.dr_finite import (
     ZkAction,
     orbit_count,
@@ -13,7 +14,7 @@ from groupoid_homology.dr_finite import (
     validate_action,
 )
 from groupoid_homology.errors import DimensionMismatch, NonCommuting, NotBijective
-from groupoid_homology.exact_linalg import _blocks
+from groupoid_homology.exact_linalg import _blocks, cokernel
 from groupoid_homology.koszul import homology
 
 THREE_CYCLE = ZkAction(3, ((1, 2, 0),))
@@ -169,6 +170,38 @@ def multi_orbit_actions(draw):
 @given(multi_orbit_actions())
 def test_engine_matches_orbit_oracle_on_multi_orbit_actions(a):
     assert homology(to_koszul(a)).groups == orbit_oracle(a).groups
+
+
+def torus(n: int) -> ZkAction:
+    """Z^2 on the n x n torus by the two unit shifts: one orbit."""
+    return ZkAction(n * n, (
+        tuple(x - x % n + (x + 1) % n for x in range(n * n)),
+        tuple((x + n) % (n * n) for x in range(n * n)),
+    ))
+
+
+@pytest.mark.parametrize("n", [20, 25])
+def test_engine_matches_orbit_oracle_on_a_single_large_orbit(n):
+    a = torus(n)
+    assert orbit_count(a) == 1
+    assert homology(to_koszul(a)).groups == orbit_oracle(a).groups
+
+
+def test_torus_boundaries_leave_no_core_for_the_dense_reduction(monkeypatch):
+    # every boundary of one torus orbit is eliminated on unit pivots, so
+    # _smithify never sees a nonempty matrix
+    cells = []
+    real = exact_linalg._smithify
+
+    def counting(a, *args):
+        cells.append(a.rows * a.cols)
+        return real(a, *args)
+
+    monkeypatch.setattr(exact_linalg, "_smithify", counting)
+    c = to_koszul(torus(12))
+    # both ranks are 143: Z^(144 - 143) and Z^(288 - 143), torsion-free
+    assert [cokernel(c.boundary(p)) for p in (1, 2)] == [FgAbGroup(1, ()), FgAbGroup(145, ())]
+    assert sum(cells) == 0
 
 
 def test_homology_of_a_split_action_reduces_each_boundary_once(monkeypatch):
