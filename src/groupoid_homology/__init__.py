@@ -32,6 +32,7 @@ from .dr_finite import ZkAction, orbit_count, orbit_oracle, to_koszul, validate_
 from .exact_linalg import (
     IntMatrix,
     SnfResult,
+    SparseMatrix,
     cokernel,
     det,
     kernel_basis,
@@ -64,6 +65,7 @@ __all__ = [
     "KTheoryResult",
     "KoszulComplex",
     "SnfResult",
+    "SparseMatrix",
     "TRIVIAL",
     "Z",
     "ZkAction",

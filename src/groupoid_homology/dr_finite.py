@@ -100,10 +100,11 @@ def validate_action(a: ZkAction) -> list[str]:
 
 
 def _perm_matrix(p: tuple[int, ...], n: int) -> IntMatrix:
-    entries = [0] * (n * n)
+    # trusted: ZkAction has checked every image, and the 0/1 entries are ours
+    rows = [[0] * n for _ in range(n)]
     for y, img in enumerate(p):
-        entries[img * n + y] = 1
-    return IntMatrix(n, n, entries)
+        rows[img][y] = 1
+    return IntMatrix._wrap(rows, n)
 
 
 def to_koszul(a: ZkAction) -> KoszulComplex:

@@ -19,16 +19,20 @@ Storage is plain Python: an IntMatrix is a tuple of row tuples plus
 its column count. Reductions work on row lists, with every row
 operation one map over a row; _smithify keeps V transposed, so column
 operations on V are row operations too. Products skip the zero entries
-of their left factor, so composing sparse boundaries costs about nnz
-times the row length.
+of their left factor.
 
-cokernel alone works sparse. _eliminate first takes out pivots that
-divide their row and column, on {col: value} rows; the core left
-over is split into the connected blocks of its support, and each block
-is reduced with its wide side as rows. The boundaries of a torus orbit
-and of a single vertex with every count 3 leave no core at all. The
-other functions reduce the whole dense matrix, which keeps them a
-reference for cokernel.
+A SparseMatrix keeps only the {col: value} dicts of its rows; its
+product costs about the nonzeros of the left factor times those of a
+row of the right one. koszul.build stores its boundaries this way and
+checks them with that product, so no dense boundary is made on the
+way to cokernel. cokernel takes a SparseMatrix as it is, and an
+IntMatrix after turning it into such rows. _eliminate first takes out
+pivots that divide their row and column; the core left over is split
+into the connected blocks of its support, and each block is reduced
+dense with its wide side as rows. The boundaries of a torus orbit and
+of a single vertex with every count 3 leave no core at all.
+invariant_factors, snf, kernel_basis, solve_columns and det reduce the
+whole dense matrix, which keeps them a reference for cokernel.
 """
 
 from __future__ import annotations
@@ -217,6 +221,53 @@ class IntMatrix:
         if self.rows * self.cols <= 36:
             return f"IntMatrix.from_rows({self.to_rows()!r})"
         return f"<IntMatrix {self.rows}x{self.cols}>"
+
+
+class SparseMatrix(namedtuple("SparseMatrix", "data cols")):
+    """An integer matrix kept as the {col: value} dicts of its rows.
+
+    data is a tuple with one dict per row holding its nonzero entries;
+    cols is the column count. koszul.build stores its boundaries this
+    way and cokernel eliminates them as they are. dense() gives the
+    IntMatrix that every other function takes.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_dense(cls, a: IntMatrix) -> "SparseMatrix":
+        return cls(tuple(dict(compress(enumerate(row), row)) for row in a._data), a.cols)
+
+    @property
+    def rows(self) -> int:
+        return len(self.data)
+
+    @property
+    def shape(self):
+        return len(self.data), self.cols
+
+    def __hash__(self):
+        return hash((self.cols, tuple(frozenset(row.items()) for row in self.data)))
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """Product row by row: each nonzero x of a row adds x times one
+        row of other. Zero sums are dropped."""
+        if self.cols != other.rows:
+            raise DimensionMismatch(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        out = []
+        for row in self.data:
+            acc = {}
+            for j, x in row.items():
+                for c, y in other.data[j].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            out.append({c: v for c, v in acc.items() if v})
+        return SparseMatrix(tuple(out), other.cols)
+
+    def dense(self) -> IntMatrix:
+        return IntMatrix._wrap(([row.get(j, 0) for j in range(self.cols)]
+                                for row in self.data), self.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +604,7 @@ def _blocks(a: IntMatrix) -> list[tuple[list[int], list[int]]]:
     return blocks
 
 
-def _eliminate(a: IntMatrix):
+def _eliminate(a: SparseMatrix):
     """Sparse elimination of divisible pivots; return (orders, core).
 
     A pivot is an entry x that divides every entry of its row and of its
@@ -564,20 +615,21 @@ def _eliminate(a: IntMatrix):
     Z_x (+) coker(A') (Kaczynski, Mrozek and Slusarek 1998; Dumas,
     Heckenbach, Saunders and Welker 2003). Units are the common case.
 
-    Rows are {col: value} dicts, and each column keeps the set of rows
-    where it is nonzero. Rows wait in a lazy heap keyed by (gcd, length,
-    index); the popped row pivots on its +-gcd entry whose column has the
-    fewest nonzeros, among those that divide their column. A row with no
-    such entry is taken up again only when an elimination changes it, so
-    the core may keep a divisible entry; it is then reduced like the
-    rest. orders holds |x| of each pivot; core is what is left,
-    restricted to its nonzero rows and columns.
+    The elimination works on copies of the {col: value} rows of a, and
+    each column keeps the set of rows where it is nonzero. Rows wait in a
+    lazy heap keyed by (gcd, length, index); the popped row pivots on its
+    +-gcd entry whose column has the fewest nonzeros, among those that
+    divide their column. A row with no such entry is taken up again only
+    when an elimination changes it, so the core may keep a divisible
+    entry; it is then reduced like the rest. orders holds |x| of each
+    pivot; core is what is left, restricted to its nonzero rows and
+    columns.
     """
+    rows = list(map(dict, a.data))
     stats = _TRACK.get()
     if stats is not None:
-        stats.begin_reduction(a.rows, a._ncols, _max_abs(a._data))
-    rows = [dict(compress(enumerate(row), row)) for row in a._data]
-    cols = [set() for _ in range(a._ncols)]
+        stats.begin_reduction(a.rows, a.cols, _max_abs([row.values() for row in rows]))
+    cols = [set() for _ in range(a.cols)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
@@ -626,10 +678,12 @@ def _eliminate(a: IntMatrix):
     return orders, IntMatrix._wrap(core, len(live))
 
 
-def cokernel(a: IntMatrix) -> FgAbGroup:
+def cokernel(a: SparseMatrix | IntMatrix) -> FgAbGroup:
     """Z^rows modulo the column span of a.
 
     Free rank is rows - rank; the invariant factors > 1 are the torsion.
+    A SparseMatrix is eliminated as it is, and an IntMatrix is first
+    turned into {col: value} rows of its nonzero entries.
     _eliminate takes out divisible pivots first. The core it leaves
     is split into the connected blocks of its support (_blocks): up to
     row and column order it is block diagonal, so its cokernel is the
@@ -640,6 +694,8 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
     from_orders renormalizes the torsion of all pivots and blocks (Z_2
     from one block and Z_3 from another give Z_6).
     """
+    if isinstance(a, IntMatrix):
+        a = SparseMatrix.from_dense(a)
     orders, core = _eliminate(a)
     data = core._data
     for rows, cols in _blocks(core):

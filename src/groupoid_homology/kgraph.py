@@ -25,7 +25,7 @@ from .errors import (
     RankUnsupported,
     SkeletonInvalid,
 )
-from .exact_linalg import IntMatrix, cokernel
+from .exact_linalg import IntMatrix, SparseMatrix, cokernel
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import build, homology
 
@@ -69,13 +69,15 @@ def validate(s: KGraphSkeleton) -> list[str]:
     suppressed when the skeleton allows sources.
     """
     findings = _negative_findings(s)
+    sparse = [SparseMatrix.from_dense(m) for m in s.matrices] if s.k > 1 else []
     for i in range(s.k):
         for j in range(i + 1, s.k):
-            p = s.matrices[i] @ s.matrices[j]
-            q = s.matrices[j] @ s.matrices[i]
+            p = sparse[i] @ sparse[j]
+            q = sparse[j] @ sparse[i]
             if p != q:
-                n = len(s.vertices)
-                v, w = next((v, w) for v in range(n) for w in range(n) if p[v, w] != q[v, w])
+                v, a, b = next((v, a, b) for v, (a, b) in enumerate(zip(p.data, q.data))
+                               if a != b)
+                w = min(w for w in a.keys() | b.keys() if a.get(w) != b.get(w))
                 findings.append(
                     f"matrices[{i}] and matrices[{j}] do not commute: "
                     f"products differ at ({v},{w})"
@@ -318,6 +320,11 @@ def hk_report(s: KGraphSkeleton) -> HkReport:
     the notes say so explicitly. For k = 1 the report also includes the
     homology of the underlying directed graph, which is generally very
     different from the groupoid homology.
+
+    The two "agree/DIFFER" notes are informational: ktheory_from_profile
+    returns exactly the even and odd sums they compare against, so they
+    always read "agree" and check nothing. They stay because the output
+    bytes of hk-report include them.
     """
     profile = groupoid_homology(s)
     kt = ktheory_from_profile(profile, allow_conjectural=True)

@@ -7,27 +7,36 @@ tuples ordered lexicographically, base coordinate fastest-varying. The
 boundary drops one index at a time and applies id - S_i with an
 alternating sign. Homology of this complex is what the rest of the
 package computes for groupoid presentations.
+
+Boundaries stay sparse from build to cokernel: build writes the
+{col: value} rows of the blocks +-(id - S_i) straight from the nonzeros
+of each S_i and checks d o d = 0 row by row on them, and homology hands
+them to cokernel as they are. A column of the degree-p boundary holds
+the nonzeros of p such blocks, at most 2p for a Z^k action by
+permutations. boundary(p) gives the dense IntMatrix that the reference
+functions and the checks take.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, prod
 
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints
 from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
-from .exact_linalg import IntMatrix, cokernel, invariant_factors
+from .exact_linalg import IntMatrix, SparseMatrix, cokernel, invariant_factors
 # unused here, but perfbench/tracing.py wraps these two at this module by name
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
 
 class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
-    """The assembled complex: endomorphisms plus materialized boundaries.
+    """The assembled complex: endomorphisms plus stored boundaries.
 
     k and m are ints, endos a tuple of k m x m IntMatrix, and
-    boundaries[p - 1] the degree-p boundary matrix for 1 <= p <= k,
-    mapping Z^(C(k,p) * m) -> Z^(C(k,p-1) * m).
+    boundaries[p - 1] the degree-p boundary for 1 <= p <= k, mapping
+    Z^(C(k,p) * m) -> Z^(C(k,p-1) * m). build stores a SparseMatrix; a
+    hand-built complex may hold IntMatrix boundaries instead.
     """
 
     __slots__ = ()
@@ -39,9 +48,11 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
         return comb(self.k, p) * self.m
 
     def boundary(self, p: int) -> IntMatrix:
-        """Boundary map out of degree p; zero maps close both ends."""
+        """Boundary map out of degree p as an IntMatrix; zero maps close
+        both ends."""
         if 1 <= p <= self.k:
-            return self.boundaries[p - 1]
+            b = self.boundaries[p - 1]
+            return b.dense() if isinstance(b, SparseMatrix) else b
         if p == 0:
             return IntMatrix.zeros(0, self.dim(0))
         if p == self.k + 1:
@@ -60,8 +71,10 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     (i, j) of the composite is S_j S_i - S_i S_j, and the first nonzero
     block is raised as NonCommuting. In higher degrees it guards the
     assembly against sign and indexing mistakes (BrokenComplex). The
-    product skips zero entries of its left factor, so a composite of
-    sparse boundaries costs about nnz times the row length.
+    boundaries are SparseMatrix rows written from the nonzeros of each
+    S_i, and the composite is taken row by row on them, so the check
+    costs about the nonzeros of the lower boundary times those of a row
+    of the upper one; only the endomorphisms are scanned dense.
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
@@ -84,25 +97,30 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     if m is not None and m != m0:
         raise DimensionMismatch(f"m={m} disagrees with endomorphism size {m0}")
 
-    diffs = [IntMatrix.identity(m0) - s for s in endos]
-    neg_diffs = [-d for d in diffs]
+    diffs = [_diff_rows(s) for s in endos]
     boundaries = []
     for p in range(1, k + 1):
-        col_tuples = list(combinations(range(k), p))
-        row_index = {t: idx for idx, t in enumerate(combinations(range(k), p - 1))}
-        B = [[0] * (len(col_tuples) * m0) for _ in range(len(row_index) * m0)]
-        for ci, t in enumerate(col_tuples):
-            for jj, idx in enumerate(t):
-                rest = t[:jj] + t[jj + 1:]
-                ri = row_index[rest]
-                blk = diffs[idx] if jj % 2 == 0 else neg_diffs[idx]
-                for r, row in enumerate(blk._data):
-                    B[ri * m0 + r][ci * m0:(ci + 1) * m0] = row
-        boundaries.append(IntMatrix._wrap(B, len(col_tuples) * m0))
+        col_index = {t: ci for ci, t in enumerate(combinations(range(k), p))}
+        rows = []
+        for rest in combinations(range(k), p - 1):
+            # one block per index i added to rest, at position jj of t
+            blocks = []
+            for i in range(k):
+                if i not in rest:
+                    t = tuple(sorted((*rest, i)))
+                    jj = t.index(i)
+                    blocks.append((col_index[t] * m0, diffs[i][jj % 2]))
+            for r in range(m0):
+                row = {}
+                for off, blk in blocks:
+                    for c, x in blk[r].items():
+                        row[off + c] = x
+                rows.append(row)
+        boundaries.append(SparseMatrix(tuple(rows), len(col_index) * m0))
 
-    c = KoszulComplex(k, m0, endos, tuple(boundaries))
     for p in range(2, k + 1):
-        bad = _first_nonzero_column(c.boundary(p - 1) @ c.boundary(p))
+        composite = boundaries[p - 2] @ boundaries[p - 1]
+        bad = min((c for row in composite.data for c in row), default=None)
         if bad is not None and p == 2:
             i, j = list(combinations(range(k), 2))[bad // m0]
             raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
@@ -110,7 +128,20 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
             raise BrokenComplex(
                 f"boundaries in degrees {p - 1} and {p} do not compose to zero"
             )
-    return c
+    return KoszulComplex(k, m0, endos, tuple(boundaries))
+
+
+def _diff_rows(s: IntMatrix):
+    """Rows of id - s and of s - id, as {col: value} dicts of nonzeros."""
+    plus, minus = [], []
+    for r, row in enumerate(s._data):
+        d = {c: -x for c, x in compress(enumerate(row), row)}
+        d[r] = 1 - row[r]
+        if not d[r]:
+            del d[r]
+        plus.append(d)
+        minus.append({c: -x for c, x in d.items()})
+    return plus, minus
 
 
 def _first_nonzero_column(a: IntMatrix) -> int | None:
@@ -129,15 +160,16 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     between free modules is a direct summand, so all torsion of
     Z^(n_p) / image sits inside kernel / image. Each boundary is
     therefore reduced exactly once, with no transforms: the cokernel of
-    the degree-(p+1) boundary gives the torsion and n_p - r_{p+1}, and
-    r_p is carried over from the previous degree. A negative free rank
-    can only come from a hand-built complex whose boundaries do not
-    compose to zero, and raises BrokenComplex.
+    the degree-(p+1) boundary, passed in the form it is stored in, gives
+    the torsion and n_p - r_{p+1}, and r_p is carried over from the
+    previous degree. A negative free rank can only come from a hand-built
+    complex whose boundaries do not compose to zero, and raises
+    BrokenComplex.
     """
     groups = []
     r_p = 0
     for p in range(c.k + 1):
-        d = c.boundary(p + 1)
+        d = c.boundaries[p] if p < c.k else c.boundary(p + 1)
         coker = cokernel(d)
         free = coker.free_rank - r_p
         if free < 0:

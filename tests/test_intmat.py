@@ -12,6 +12,7 @@ from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.errors import DimensionMismatch, NoIntegerSolution
 from groupoid_homology.exact_linalg import (
     IntMatrix,
+    SparseMatrix,
     _blocks,
     _eliminate,
     cokernel,
@@ -486,7 +487,7 @@ def test_cokernel_without_a_divisible_pivot_reduces_every_block():
     for _ in range(40):
         blocks = [rng.choice(no_pivot) for _ in range(rng.randint(1, 4))]
         a = _shuffled_blocks(rng, blocks, rng.randint(0, 2), rng.randint(0, 2))
-        orders, core = _eliminate(a)
+        orders, core = _eliminate(SparseMatrix.from_dense(a))
         assert orders == []
         assert core.shape == (sum(map(len, blocks)), sum(len(b[0]) for b in blocks))
         assert cokernel(a) == _whole(a), a
@@ -498,6 +499,23 @@ def test_cokernel_matches_the_whole_reduction_on_perf_skeleton_boundaries():
         c = build(sk.k, [m.transpose() for m in sk.matrices], m=n)
         for p in range(1, c.k + 1):
             assert cokernel(c.boundary(p)) == _whole(c.boundary(p))
+
+
+def test_sparse_product_matches_the_dense_product():
+    rng = random.Random("sparse-product")
+    zero = 0
+    for _ in range(200):
+        r, n, c = (rng.randint(0, 5) for _ in range(3))
+        a = IntMatrix(r, n, [rng.choice((0, 0, 1, -1, 2)) for _ in range(r * n)])
+        b = IntMatrix(n, c, [rng.choice((0, 0, 1, -2, 3)) for _ in range(n * c)])
+        product = SparseMatrix.from_dense(a) @ SparseMatrix.from_dense(b)
+        assert product == SparseMatrix.from_dense(a @ b), (a, b)
+        assert product.dense() == a @ b
+        zero += (a @ b).is_zero()
+    assert 0 < zero < 200
+    with pytest.raises(DimensionMismatch):
+        SparseMatrix.from_dense(IntMatrix.zeros(2, 3)) @ SparseMatrix.from_dense(
+            IntMatrix.zeros(2, 3))
 
 
 def test_blocks_are_the_support_components():

@@ -74,6 +74,29 @@ def test_findings_keep_their_text_and_order():
     ]
 
 
+def test_commutation_findings_name_the_first_differing_entry_of_the_products():
+    # validate multiplies sparse rows; the witness is the first (v, w) in
+    # row-major order where the dense products M_i M_j and M_j M_i differ
+    rng = random.Random("commutation-witness")
+    witnessed = 0
+    for _ in range(150):
+        n, k = rng.randint(1, 4), rng.randint(2, 3)
+        mats = [IntMatrix(n, n, [rng.choice((0, 0, 1, 2)) for _ in range(n * n)])
+                for _ in range(k)]
+        expected = []
+        for i in range(k):
+            for j in range(i + 1, k):
+                p, q = (mats[i] @ mats[j]).to_rows(), (mats[j] @ mats[i]).to_rows()
+                at = [(v, w) for v in range(n) for w in range(n) if p[v][w] != q[v][w]]
+                if at:
+                    expected.append(f"matrices[{i}] and matrices[{j}] do not commute: "
+                                    f"products differ at ({at[0][0]},{at[0][1]})")
+        sk = KGraphSkeleton(tuple(f"v{v}" for v in range(n)), mats, allow_sources=True)
+        assert validate(sk) == expected
+        witnessed += bool(expected)
+    assert witnessed > 50
+
+
 def test_homology_refuses_invalid_skeletons():
     sk = KGraphSkeleton(("v",), (IntMatrix(1, 1, [-1]),))
     with pytest.raises(SkeletonInvalid):

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from groupoid_homology import checks, koszul
+from groupoid_homology import checks, dr_finite, koszul
 from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.dr_finite import ZkAction, to_koszul
 from groupoid_homology.errors import (
@@ -92,7 +92,7 @@ def test_noncommuting_family_names_the_first_pair():
     rng = random.Random(7)
     tested = 0
     while tested < 40:
-        k, m = rng.randint(2, 3), rng.randint(1, 4)
+        k, m = rng.randint(2, 4), rng.randint(1, 4)
         fam = checks._random_commuting_family(rng, k, m)
         fam[rng.randrange(k)] = checks._random_matrix(rng, m, m, -2, 2)
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)
@@ -112,21 +112,24 @@ def _direct_sum(a, b):
     return IntMatrix.from_rows(rows)
 
 
-def _dense_degree2_boundaries(fam):
-    """d_1 and d_2 of the family, written out by the sign rule of build."""
+def _dense_boundaries(fam):
+    """Every boundary of the family, written out dense by the sign rule of
+    build: column block t (a p-subset) holds (-1)^jj (id - S_{t_jj}) in
+    row block t minus its jj-th index."""
     k, m = len(fam), fam[0].rows
     d = [(IntMatrix.identity(m) - s).to_rows() for s in fam]
     zero = [[0] * m for _ in range(m)]
-    pairs = list(combinations(range(k), 2))
-    d1 = IntMatrix.from_rows([sum((d[i][r] for i in range(k)), []) for r in range(m)])
-    # column block (i, j) of d_2 holds d_i in row block j and -d_j in row block i
-    cells = {(j, (i, j)): d[i] for i, j in pairs}
-    cells.update({(i, (i, j)): [[-x for x in row] for row in d[j]] for i, j in pairs})
-    d2 = IntMatrix.from_rows([
-        sum((cells.get((b, t), zero)[r] for t in pairs), [])
-        for b in range(k) for r in range(m)
-    ])
-    return d1, d2
+    out = []
+    for p in range(1, k + 1):
+        tuples = list(combinations(range(k), p))
+        cells = {(t[:jj] + t[jj + 1:], t): d[i] if jj % 2 == 0
+                 else [[-x for x in row] for row in d[i]]
+                 for t in tuples for jj, i in enumerate(t)}
+        out.append(IntMatrix.from_rows([
+            sum((cells.get((b, t), zero)[r] for t in tuples), [])
+            for b in combinations(range(k), p - 1) for r in range(m)
+        ], cols=len(tuples) * m))
+    return out
 
 
 def test_blockwise_commutation_check_names_the_dense_pair():
@@ -146,7 +149,7 @@ def test_blockwise_commutation_check_names_the_dense_pair():
         bad = [{(i, j) for i, j in combinations(range(k), 2)
                 if fam[i] @ fam[j] != fam[j] @ fam[i]} for fam in parts]
         fam = [_direct_sum(a, b) for a, b in zip(*parts)]
-        d1, d2 = _dense_degree2_boundaries(fam)
+        d1, d2 = _dense_boundaries(fam)[:2]
         if not bad[0] or not bad[1] or bad[0] == bad[1] or len(_blocks(d2)) < 2:
             continue
         first = min(c for row in (d1 @ d2).to_rows() for c, x in enumerate(row) if x)
@@ -162,7 +165,68 @@ def test_dense_degree2_boundaries_match_build():
     for _ in range(10):
         fam = checks._random_commuting_family(rng, 3, rng.randint(1, 3))
         c = build(3, fam)
-        assert _dense_degree2_boundaries(fam) == (c.boundary(1), c.boundary(2))
+        assert _dense_boundaries(fam)[:2] == [c.boundary(1), c.boundary(2)]
+
+
+def _families_up_to_rank4():
+    """Commuting families of every kind the engine builds, k = 1 .. 4."""
+    rng = random.Random("sparse-vs-dense")
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        yield checks._random_commuting_family(rng, k, rng.randint(1, 3))
+    for sk in (checks.perf_skeleton(0, 8), checks.perf_skeleton(1, 12),
+               product(checks.perf_skeleton(2, 4), checks.perf_skeleton(3, 5))):
+        yield [m.transpose() for m in sk.matrices]
+    for _ in range(20):
+        a = _random_action(rng, max_k=4)
+        yield [dr_finite._perm_matrix(p, a.points) for p in a.perms]
+
+
+def test_build_matches_the_dense_assembly_in_every_degree():
+    ranks = set()
+    for fam in _families_up_to_rank4():
+        c = build(len(fam), fam)
+        assert [c.boundary(p) for p in range(1, c.k + 1)] == _dense_boundaries(fam)
+        ranks.add(c.k)
+    assert ranks == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("k, q", [(3, 3), (4, 3), (4, 4)])
+def test_slipped_assembly_names_the_degrees_of_the_dense_composite(monkeypatch, k, q):
+    # the row blocks of the degree-q boundary listed in reverse: build must
+    # raise BrokenComplex for the first degree whose dense composite is not 0
+    real = koszul.combinations
+    calls = []
+
+    def slipped(items, r):
+        out = list(real(items, r))
+        if r == q - 1:
+            calls.append(r)
+            if len(calls) == 2:
+                out.reverse()
+        return out
+
+    rng = random.Random(f"slip/{k}/{q}")
+    tested = 0
+    while tested < 10:
+        fam = checks._random_commuting_family(rng, k, rng.randint(1, 3))
+        dense = _dense_boundaries(fam)
+        m = fam[0].rows
+        rows = dense[q - 1].to_rows()
+        blocks = [rows[i:i + m] for i in range(0, len(rows), m)]
+        dense[q - 1] = IntMatrix.from_rows(sum(blocks[::-1], []), cols=dense[q - 1].cols)
+        bad = next((p for p in range(2, k + 1)
+                    if not (dense[p - 2] @ dense[p - 1]).is_zero()), None)
+        if bad is None:
+            continue
+        calls.clear()
+        monkeypatch.setattr(koszul, "combinations", slipped)
+        with pytest.raises(BrokenComplex) as exc:
+            build(k, fam)
+        monkeypatch.setattr(koszul, "combinations", real)
+        assert str(exc.value) == (
+            f"boundaries in degrees {bad - 1} and {bad} do not compose to zero")
+        tested += 1
 
 
 def test_degree3_composite_guards_the_assembly(monkeypatch):
@@ -261,12 +325,12 @@ def _skeleton_complex(s):
     return build(s.k, [m.transpose() for m in s.matrices], m=len(s.vertices))
 
 
-def _random_action(rng):
+def _random_action(rng, max_k=3):
     points = rng.randint(1, 8)
     base = list(range(points))
     rng.shuffle(base)
     perms = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, max_k)):
         q = list(range(points))
         for _ in range(rng.randint(0, points)):
             q = [base[x] for x in q]

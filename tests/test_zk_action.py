@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from groupoid_homology import exact_linalg, koszul
 from groupoid_homology.abelian import FgAbGroup
+from groupoid_homology.checks import perf_skeleton
 from groupoid_homology.dr_finite import (
     ZkAction,
     orbit_count,
@@ -15,6 +16,7 @@ from groupoid_homology.dr_finite import (
 )
 from groupoid_homology.errors import DimensionMismatch, NonCommuting, NotBijective
 from groupoid_homology.exact_linalg import _blocks, cokernel
+from groupoid_homology.kgraph import groupoid_homology
 from groupoid_homology.koszul import homology
 
 THREE_CYCLE = ZkAction(3, ((1, 2, 0),))
@@ -224,3 +226,18 @@ def test_homology_of_a_split_action_reduces_each_boundary_once(monkeypatch):
     monkeypatch.setattr(koszul, "cokernel", counted)
     assert homology(c).groups == oracle.groups
     assert shapes == [c.boundary(p).shape for p in range(1, 5)]
+
+
+def test_homology_path_never_goes_dense(monkeypatch):
+    # from build to cokernel the boundaries stay sparse: no dense product
+    # (the old d o d check) and no densified boundary on the way
+    sk = perf_skeleton(0, 40)
+    orbit = torus(30)
+    expected = groupoid_homology(sk), homology(to_koszul(orbit))
+
+    def dense(*args):
+        raise AssertionError("the homology path went dense")
+
+    monkeypatch.setattr(exact_linalg.IntMatrix, "__matmul__", dense)
+    monkeypatch.setattr(exact_linalg.SparseMatrix, "dense", dense)
+    assert (groupoid_homology(sk), homology(to_koszul(orbit))) == expected
