@@ -28,25 +28,24 @@ def _exact_ints(values) -> list[int]:
 def _divisibility_chain(orders) -> tuple[int, ...]:
     """Renormalize cyclic orders into an ascending divisibility chain.
 
-    Pass i replaces each pair (t_i, t_j), j > i, with t_i not dividing
-    t_j, by (gcd, lcm), which preserves the isomorphism class of the
-    direct sum. After pass i, t_i divides every later entry, and later
-    passes only take gcds and lcms of those multiples of t_i, so one
-    pass over the pairs i < j leaves a chain. Orders equal to 1 vanish.
+    The orders go in ascending, each inserted from the top of the chain:
+    as Z_t (+) Z_x is Z_gcd (+) Z_lcm, the lcm moves up and the gcd is
+    carried down until the entry below divides it, so every entry still
+    divides the one above. A carry of 1 vanishes. Orders that already
+    form a chain cost one divisibility test each.
     """
     t = []
-    for x in _exact_ints(orders):
+    for x in sorted(_exact_ints(orders)):
         if x < 1:
             raise ValueError(f"cyclic order must be a positive integer, got {x}")
-        if x > 1:
-            t.append(x)
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            a, b = t[i], t[j]
-            if b % a:
-                g = math.gcd(a, b)
-                t[i], t[j] = g, a * b // g
-    return tuple(x for x in t if x > 1)
+        i = len(t)
+        t.append(x)
+        while i and x > 1 and x % t[i - 1]:
+            i -= 1
+            g = math.gcd(t[i], x)
+            t[i + 1], x = t[i] // g * x, g
+        t[i:i + 1] = [x] if x > 1 else []
+    return tuple(t)
 
 
 @contextmanager

@@ -137,7 +137,8 @@ def _random_commuting_family(rng: random.Random, k: int, m: int) -> list[IntMatr
         return fam
     if style == "perm":
         base = _random_permutation(rng, m)
-        return [_perm_matrix(_perm_power(base, rng.randint(0, m)), m) for _ in range(k)]
+        return [_perm_matrix(_perm_power(base, rng.randint(0, m)), m).dense()
+                for _ in range(k)]
     diags = []
     for _ in range(k):
         entries = [0] * (m * m)

@@ -3,7 +3,8 @@
 An action is stored as k image arrays: perms[i][x] is where the i-th
 generator sends the point x. The transformation groupoid of such an
 action is computed through the same chain complex as the graph case,
-with the permutation matrices acting on the free module over the points.
+with the permutation matrices acting on the free module over the points,
+written as SparseMatrix rows straight from the images.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations
 
 from .abelian import HomologyProfile, _exact_ints, direct_sum
 from .errors import DimensionMismatch, NonCommuting, NotBijective
-from .exact_linalg import IntMatrix
+from .exact_linalg import SparseMatrix
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import KoszulComplex, build, homology
 
@@ -99,12 +100,12 @@ def validate_action(a: ZkAction) -> list[str]:
     return [f for _, f in _findings(a)]
 
 
-def _perm_matrix(p: tuple[int, ...], n: int) -> IntMatrix:
-    # trusted: ZkAction has checked every image, and the 0/1 entries are ours
-    rows = [[0] * n for _ in range(n)]
+def _perm_matrix(p: tuple[int, ...], n: int) -> SparseMatrix:
+    # p must be a bijection of range(n), so every row gets exactly one entry
+    rows = [None] * n
     for y, img in enumerate(p):
-        rows[img][y] = 1
-    return IntMatrix._wrap(rows, n)
+        rows[img] = {y: 1}
+    return SparseMatrix(tuple(rows), n)
 
 
 def to_koszul(a: ZkAction) -> KoszulComplex:
@@ -149,7 +150,7 @@ def orbit_oracle(a: ZkAction) -> HomologyProfile:
     that never looks at which permutation sends which point where, only
     at the orbit partition, which makes it a useful cross-check.
     """
-    point = build(a.k, [IntMatrix.identity(1)] * a.k, m=1)
+    point = build(a.k, [SparseMatrix(({0: 1},), 1)] * a.k, m=1)
     per_orbit = homology(point)
     n_orbits = orbit_count(a)
     return HomologyProfile(

@@ -23,16 +23,16 @@ of their left factor.
 
 A SparseMatrix keeps only the {col: value} dicts of its rows; its
 product costs about the nonzeros of the left factor times those of a
-row of the right one. koszul.build stores its boundaries this way and
-checks them with that product, so no dense boundary is made on the
-way to cokernel. cokernel takes a SparseMatrix as it is, and an
-IntMatrix after turning it into such rows. _eliminate first takes out
-pivots that divide their row and column; the core left over is split
-into the connected blocks of its support, and each block is reduced
-dense with its wide side as rows. The boundaries of a torus orbit and
-of a single vertex with every count 3 leave no core at all.
-invariant_factors, snf, kernel_basis, solve_columns and det reduce the
-whole dense matrix, which keeps them a reference for cokernel.
+row of the right one. It is the one form on the homology path: the
+Koszul endomorphisms and boundaries are stored this way, and cokernel
+takes nothing else. _eliminate first takes out pivots that divide their
+row and column and hands back the rows it leaves; those are split into
+the connected blocks of their support, and only each block is written
+dense, with its wide side as rows, for _smithify. The boundaries of a
+torus orbit and of a single vertex with every count 3 leave no block
+at all. invariant_factors, snf, kernel_basis, solve_columns and det
+reduce the whole dense matrix, which keeps them a reference for
+cokernel.
 """
 
 from __future__ import annotations
@@ -227,9 +227,9 @@ class SparseMatrix(namedtuple("SparseMatrix", "data cols")):
     """An integer matrix kept as the {col: value} dicts of its rows.
 
     data is a tuple with one dict per row holding its nonzero entries;
-    cols is the column count. koszul.build stores its boundaries this
-    way and cokernel eliminates them as they are. dense() gives the
-    IntMatrix that every other function takes.
+    cols is the column count. koszul.build stores its endomorphisms and
+    boundaries this way and cokernel eliminates them as they are.
+    dense() gives the IntMatrix that the reference functions take.
     """
 
     __slots__ = ()
@@ -573,39 +573,38 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix._wrap(Vt[r:], a.cols).transpose()
 
 
-def _blocks(a: IntMatrix) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the bipartite support graph of a.
+def _blocks(rows) -> list[tuple[list[int], list[int]]]:
+    """Connected components of the bipartite support graph of {col: value} rows.
 
     Rows and columns are the vertices and nonzero entries the edges.
     Each component is (row indices, column indices), both ascending;
-    components come in order of first row. Zero rows and columns belong
-    to no component.
+    components come in order of first row. Empty rows and columns that
+    no row holds belong to no component.
     """
-    row_cols = [list(compress(range(a.cols), row)) for row in a._data]
-    col_rows = [[] for _ in range(a.cols)]
-    for i, js in enumerate(row_cols):
-        for j in js:
-            col_rows[j].append(i)
+    col_rows = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, []).append(i)
     placed = set()
     blocks = []
-    for start, js in enumerate(row_cols):
-        if not js or start in placed:
+    for start, row in enumerate(rows):
+        if not row or start in placed:
             continue
-        rows, cols, stack = {start}, set(), [start]
+        found, cols, stack = {start}, set(), [start]
         while stack:
-            for j in row_cols[stack.pop()]:
+            for j in rows[stack.pop()]:
                 if j not in cols:
                     cols.add(j)
-                    new = [i for i in col_rows[j] if i not in rows]
-                    rows.update(new)
+                    new = [i for i in col_rows[j] if i not in found]
+                    found.update(new)
                     stack += new
-        placed |= rows
-        blocks.append((sorted(rows), sorted(cols)))
+        placed |= found
+        blocks.append((sorted(found), sorted(cols)))
     return blocks
 
 
 def _eliminate(a: SparseMatrix):
-    """Sparse elimination of divisible pivots; return (orders, core).
+    """Sparse elimination of divisible pivots; return (orders, rows).
 
     A pivot is an entry x that divides every entry of its row and of its
     column. Subtracting (a_kj / x) times row i from every other row k
@@ -622,8 +621,8 @@ def _eliminate(a: SparseMatrix):
     divide their column. A row with no such entry is taken up again only
     when an elimination changes it, so the core may keep a divisible
     entry; it is then reduced like the rest. orders holds |x| of each
-    pivot; core is what is left, restricted to its nonzero rows and
-    columns.
+    pivot; rows are the {col: value} rows left over, one per row of a,
+    and the eliminated ones are empty.
     """
     rows = list(map(dict, a.data))
     stats = _TRACK.get()
@@ -673,34 +672,30 @@ def _eliminate(a: SparseMatrix):
                 queued.pop(k, None)
         if stats is not None:
             stats.note_int(_max_abs([rows[k].values() for k in touched]))
-    live = [j for j, rs in enumerate(cols) if rs]
-    core = [[row.get(j, 0) for j in live] for row in rows if row]
-    return orders, IntMatrix._wrap(core, len(live))
+    return orders, rows
 
 
-def cokernel(a: SparseMatrix | IntMatrix) -> FgAbGroup:
+def cokernel(a: SparseMatrix) -> FgAbGroup:
     """Z^rows modulo the column span of a.
 
     Free rank is rows - rank; the invariant factors > 1 are the torsion.
-    A SparseMatrix is eliminated as it is, and an IntMatrix is first
-    turned into {col: value} rows of its nonzero entries.
-    _eliminate takes out divisible pivots first. The core it leaves
-    is split into the connected blocks of its support (_blocks): up to
-    row and column order it is block diagonal, so its cokernel is the
-    direct sum of the blocks' cokernels and a Z per zero row. Each block
-    is reduced by invariant_factors with its wide side as rows, since a
-    matrix and its transpose have the same invariant factors and
-    _smithify does one row operation per row per clearing pass.
-    from_orders renormalizes the torsion of all pivots and blocks (Z_2
-    from one block and Z_3 from another give Z_6).
+    _eliminate takes out divisible pivots first. The rows it leaves are
+    split into the connected blocks of their support (_blocks): up to
+    row and column order they are block diagonal, so their cokernel is
+    the direct sum of the blocks' cokernels and a Z per empty row. Each
+    block is written dense with its wide side as rows and reduced by
+    invariant_factors, since a matrix and its transpose have the same
+    invariant factors and _smithify does one row operation per row per
+    clearing pass. from_orders renormalizes the torsion of all pivots
+    and blocks (Z_2 from one block and Z_3 from another give Z_6).
     """
-    if isinstance(a, IntMatrix):
-        a = SparseMatrix.from_dense(a)
-    orders, core = _eliminate(a)
-    data = core._data
-    for rows, cols in _blocks(core):
-        block = IntMatrix._wrap(([data[i][j] for j in cols] for i in rows), len(cols))
-        orders += invariant_factors(block.transpose() if len(rows) > len(cols) else block)
+    orders, rows = _eliminate(a)
+    for ri, cj in _blocks(rows):
+        if len(ri) > len(cj):
+            block = [[rows[i].get(j, 0) for i in ri] for j in cj]
+        else:
+            block = [[rows[i].get(j, 0) for j in cj] for i in ri]
+        orders += invariant_factors(IntMatrix._wrap(block, len(block[0])))
     r = sum(1 for x in orders if x)
     return FgAbGroup.from_orders(a.rows - r, [x for x in orders if x > 1])
 
@@ -710,6 +705,9 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
     Returns an integer y (a.cols x b.cols) or raises NoIntegerSolution
     if some column of b is outside the integer column span of a.
+
+    Homology never calls this; it stays as the tests' solving oracle and
+    because perfbench/tracing.py wraps koszul.solve_columns by name.
     """
     if a.rows != b.rows:
         raise DimensionMismatch(

@@ -8,11 +8,12 @@ boundary drops one index at a time and applies id - S_i with an
 alternating sign. Homology of this complex is what the rest of the
 package computes for groupoid presentations.
 
-Boundaries stay sparse from build to cokernel: build writes the
-{col: value} rows of the blocks +-(id - S_i) straight from the nonzeros
-of each S_i and checks d o d = 0 row by row on them, and homology hands
-them to cokernel as they are. A column of the degree-p boundary holds
-the nonzeros of p such blocks, at most 2p for a Z^k action by
+The complex lives in one form, SparseMatrix rows, from build to
+cokernel: build turns each dense endomorphism it is given into rows
+once, writes the {col: value} rows of the blocks +-(id - S_i) from
+them, checks d o d = 0 row by row, and homology hands the stored
+boundaries to cokernel as they are. A column of the degree-p boundary
+holds the nonzeros of p such blocks, at most 2p for a Z^k action by
 permutations. boundary(p) gives the dense IntMatrix that the reference
 functions and the checks take.
 """
@@ -20,7 +21,7 @@ functions and the checks take.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb, prod
 
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints
@@ -33,10 +34,9 @@ from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
     """The assembled complex: endomorphisms plus stored boundaries.
 
-    k and m are ints, endos a tuple of k m x m IntMatrix, and
-    boundaries[p - 1] the degree-p boundary for 1 <= p <= k, mapping
-    Z^(C(k,p) * m) -> Z^(C(k,p-1) * m). build stores a SparseMatrix; a
-    hand-built complex may hold IntMatrix boundaries instead.
+    k and m are ints, endos a tuple of k m x m SparseMatrix, and
+    boundaries[p - 1] the degree-p boundary for 1 <= p <= k, a
+    SparseMatrix mapping Z^(C(k,p) * m) -> Z^(C(k,p-1) * m).
     """
 
     __slots__ = ()
@@ -51,8 +51,7 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
         """Boundary map out of degree p as an IntMatrix; zero maps close
         both ends."""
         if 1 <= p <= self.k:
-            b = self.boundaries[p - 1]
-            return b.dense() if isinstance(b, SparseMatrix) else b
+            return self.boundaries[p - 1].dense()
         if p == 0:
             return IntMatrix.zeros(0, self.dim(0))
         if p == self.k + 1:
@@ -70,18 +69,19 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     returning. In degree 2 this is the commutation check: column block
     (i, j) of the composite is S_j S_i - S_i S_j, and the first nonzero
     block is raised as NonCommuting. In higher degrees it guards the
-    assembly against sign and indexing mistakes (BrokenComplex). The
-    boundaries are SparseMatrix rows written from the nonzeros of each
-    S_i, and the composite is taken row by row on them, so the check
-    costs about the nonzeros of the lower boundary times those of a row
-    of the upper one; only the endomorphisms are scanned dense.
+    assembly against sign and indexing mistakes (BrokenComplex). An
+    IntMatrix endomorphism is turned into SparseMatrix rows once; the
+    boundaries are written from those rows and the composite is taken
+    row by row, so the check costs about the nonzeros of the lower
+    boundary times those of a row of the upper one.
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
     """
     k = _exact_ints([k])[0]
     m = None if m is None else _exact_ints([m])[0]
-    endos = tuple(endos)
+    endos = tuple(s if isinstance(s, SparseMatrix) else SparseMatrix.from_dense(s)
+                  for s in endos)
     if len(endos) != k:
         raise DimensionMismatch(f"expected {k} endomorphisms, got {len(endos)}")
     if k == 0:
@@ -131,12 +131,12 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     return KoszulComplex(k, m0, endos, tuple(boundaries))
 
 
-def _diff_rows(s: IntMatrix):
+def _diff_rows(s: SparseMatrix):
     """Rows of id - s and of s - id, as {col: value} dicts of nonzeros."""
     plus, minus = [], []
-    for r, row in enumerate(s._data):
-        d = {c: -x for c, x in compress(enumerate(row), row)}
-        d[r] = 1 - row[r]
+    for r, row in enumerate(s.data):
+        d = {c: -x for c, x in row.items()}
+        d[r] = 1 - row.get(r, 0)
         if not d[r]:
             del d[r]
         plus.append(d)
@@ -160,16 +160,17 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     between free modules is a direct summand, so all torsion of
     Z^(n_p) / image sits inside kernel / image. Each boundary is
     therefore reduced exactly once, with no transforms: the cokernel of
-    the degree-(p+1) boundary, passed in the form it is stored in, gives
-    the torsion and n_p - r_{p+1}, and r_p is carried over from the
-    previous degree. A negative free rank can only come from a hand-built
-    complex whose boundaries do not compose to zero, and raises
-    BrokenComplex.
+    the stored degree-(p+1) boundary (empty n_k x 0 rows above the top)
+    gives the torsion, already a chain, and n_p - r_{p+1}, and r_p is
+    carried over from the previous degree. A negative free rank can only
+    come from a hand-built complex whose boundaries do not compose to
+    zero, and raises BrokenComplex.
     """
     groups = []
     r_p = 0
     for p in range(c.k + 1):
-        d = c.boundaries[p] if p < c.k else c.boundary(p + 1)
+        d = c.boundaries[p] if p < c.k else SparseMatrix(
+            tuple({} for _ in range(c.dim(p))), 0)
         coker = cokernel(d)
         free = coker.free_rank - r_p
         if free < 0:
@@ -177,7 +178,7 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
                 f"boundary ranks around degree {p} exceed the chain rank "
                 f"{d.rows}: the boundaries do not compose to zero"
             )
-        groups.append(FgAbGroup.from_orders(free, coker.torsion))
+        groups.append(FgAbGroup(free, coker.torsion))
         r_p = d.rows - coker.free_rank
     profile = HomologyProfile(tuple(groups), c.k, tuple(notes))
     if c.k >= 1 and profile.euler_characteristic() != 0:
@@ -223,7 +224,7 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     if bad is not None:
         raise NotACycle(f"input {bad} is not a degree-{p} cycle")
     # (id (x) S_i) z - z for every cycle z; the product skips the zeros
-    moved = IntMatrix.identity(comb(c.k, p)).kron(c.endos[i]) @ Z - Z
+    moved = IntMatrix.identity(comb(c.k, p)).kron(c.endos[i].dense()) @ Z - Z
     a = c.boundary(p + 1)
     augmented = [x + y for x, y in zip(a._data, moved._data)]
     return _span_index(a) == _span_index(IntMatrix._wrap(augmented, a.cols + Z.cols))

@@ -12,7 +12,7 @@ from groupoid_homology.errors import (
     RankUnsupported,
     SkeletonInvalid,
 )
-from groupoid_homology.exact_linalg import IntMatrix, cokernel, kernel_basis
+from groupoid_homology.exact_linalg import IntMatrix, SparseMatrix, cokernel, kernel_basis
 from groupoid_homology.kgraph import (
     KGraphSkeleton,
     cubical_homology_rank1,
@@ -161,7 +161,7 @@ def test_homology_of_a_disjoint_union_is_the_direct_sum():
 def test_rank1_ktheory_matches_adjacency_cokernel():
     kt = ktheory(TWO_VERTEX)
     m = TWO_VERTEX.matrices[0]
-    target = cokernel(IntMatrix.identity(2) - m.transpose())
+    target = cokernel(SparseMatrix.from_dense(IntMatrix.identity(2) - m.transpose()))
     assert kt.k0 == target
     assert kt.k1 == FgAbGroup.free(
         kernel_basis(IntMatrix.identity(2) - m.transpose()).cols
@@ -347,6 +347,22 @@ def test_report_includes_comparison_lines():
     assert rep.ktheory.method == "rank2"
     assert any("agree" in line for line in rep.notes)
     assert rep.cubical is None
+
+
+def test_report_notes_are_pinned():
+    # the K-vs-H lines render K_0 and K_1 against the equal homology sums
+    assert hk_report(RANK2_35).notes == (
+        "rank-2 vertex-matrix complex on 1 vertices",
+        "K_0 = Z_2 vs (+) H_even = Z_2: agree",
+        "K_1 = Z_2 vs (+) H_odd = Z_2: agree",
+    )
+    assert hk_report(TWO_VERTEX).notes == (
+        "rank-1 vertex-matrix complex on 2 vertices",
+        "K_0 = Z_2 (+) Z_2 vs (+) H_even = Z_2 (+) Z_2: agree",
+        "K_1 = 0 vs (+) H_odd = 0: agree",
+        "H_0: underlying graph Z vs groupoid Z_2 (+) Z_2",
+        "H_1: underlying graph Z^11 vs groupoid 0",
+    )
 
 
 def test_rank1_report_includes_graph_homology():

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from groupoid_homology import checks, dr_finite, koszul
+from groupoid_homology import abelian, checks, dr_finite, koszul
 from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.dr_finite import ZkAction, to_koszul
 from groupoid_homology.errors import (
@@ -17,6 +17,7 @@ from groupoid_homology.errors import (
 )
 from groupoid_homology.exact_linalg import (
     IntMatrix,
+    SparseMatrix,
     _blocks,
     cokernel,
     kernel_basis,
@@ -150,7 +151,8 @@ def test_blockwise_commutation_check_names_the_dense_pair():
                 if fam[i] @ fam[j] != fam[j] @ fam[i]} for fam in parts]
         fam = [_direct_sum(a, b) for a, b in zip(*parts)]
         d1, d2 = _dense_boundaries(fam)[:2]
-        if not bad[0] or not bad[1] or bad[0] == bad[1] or len(_blocks(d2)) < 2:
+        if (not bad[0] or not bad[1] or bad[0] == bad[1]
+                or len(_blocks(SparseMatrix.from_dense(d2).data)) < 2):
             continue
         first = min(c for row in (d1 @ d2).to_rows() for c, x in enumerate(row) if x)
         i, j = list(combinations(range(k), 2))[first // fam[0].rows]
@@ -179,7 +181,7 @@ def _families_up_to_rank4():
         yield [m.transpose() for m in sk.matrices]
     for _ in range(20):
         a = _random_action(rng, max_k=4)
-        yield [dr_finite._perm_matrix(p, a.points) for p in a.perms]
+        yield [dr_finite._perm_matrix(p, a.points).dense() for p in a.perms]
 
 
 def test_build_matches_the_dense_assembly_in_every_degree():
@@ -189,6 +191,14 @@ def test_build_matches_the_dense_assembly_in_every_degree():
         assert [c.boundary(p) for p in range(1, c.k + 1)] == _dense_boundaries(fam)
         ranks.add(c.k)
     assert ranks == {1, 2, 3, 4}
+
+
+def test_build_takes_sparse_endomorphisms_as_their_dense_forms():
+    for fam in _families_up_to_rank4():
+        c = build(len(fam), [SparseMatrix.from_dense(s) for s in fam])
+        assert c == build(len(fam), fam)
+        assert hash(c) == hash(build(len(fam), fam))
+        assert all(type(s) is SparseMatrix for s in c.endos)
 
 
 @pytest.mark.parametrize("k, q", [(3, 3), (4, 3), (4, 4)])
@@ -246,7 +256,7 @@ def test_degree3_composite_guards_the_assembly(monkeypatch):
     # the diagonal family's boundaries split into one block per base
     # coordinate, a second support pattern for the same check
     split = [IntMatrix.from_rows([[a, 0], [0, b]]) for a, b in ((2, 7), (3, 11), (5, 13))]
-    assert len(_blocks(build(3, split).boundary(3))) == 2
+    assert len(_blocks(build(3, split).boundaries[2].data)) == 2
     monkeypatch.setattr(koszul, "combinations", slipped)
     for family in (one_by_one(2, 3, 5), split):
         pair_calls.clear()
@@ -289,6 +299,24 @@ def test_rank2_torsion_profile():
     assert [g.describe() for g in prof.groups] == ["Z_2", "Z_2", "0"]
 
 
+def test_homology_normalizes_torsion_once_per_degree(monkeypatch):
+    # cokernel renormalizes each degree's orders, and homology takes that
+    # torsion as the chain it already is: k + 1 chain calls, not 2(k + 1)
+    calls = []
+    real = abelian._divisibility_chain
+
+    def counted(orders):
+        calls.append(orders)
+        return real(orders)
+
+    monkeypatch.setattr(abelian, "_divisibility_chain", counted)
+    for k in range(1, 5):
+        calls.clear()
+        profile = homology(build(k, one_by_one(*[3] * k)))
+        assert len(calls) == k + 1
+        assert all(g.torsion == (2,) * len(g.torsion) for g in profile.groups)
+
+
 def test_zero_boundaries_return_chain_groups():
     prof = homology(build(2, one_by_one(1, 1)))
     assert [g.describe() for g in prof.groups] == ["Z", "Z^2", "Z"]
@@ -303,10 +331,11 @@ def test_profile_has_exactly_k_plus_one_groups():
 
 def test_broken_hand_built_complex_is_refused():
     # d_1 d_2 != 0 here, and r_1 + r_2 = 1 + 3 exceeds the chain rank 3
-    c = KoszulComplex(3, 1, tuple(one_by_one(2, 2, 2)), (
-        IntMatrix.from_rows([[1, 0, 0]]),
-        IntMatrix.identity(3),
-        IntMatrix.from_rows([[1], [0], [0]]),
+    sparse = SparseMatrix.from_dense
+    c = KoszulComplex(3, 1, tuple(map(sparse, one_by_one(2, 2, 2))), (
+        sparse(IntMatrix.from_rows([[1, 0, 0]])),
+        sparse(IntMatrix.identity(3)),
+        sparse(IntMatrix.from_rows([[1], [0], [0]])),
     ))
     with pytest.raises(BrokenComplex):
         homology(c)
@@ -316,7 +345,8 @@ def _kernel_solve_cokernel(c):
     """H_p by the transform route: rewrite the incoming boundary in a
     kernel basis of the outgoing one, then take the cokernel."""
     return tuple(
-        cokernel(solve_columns(kernel_basis(c.boundary(p)), c.boundary(p + 1)))
+        cokernel(SparseMatrix.from_dense(
+            solve_columns(kernel_basis(c.boundary(p)), c.boundary(p + 1))))
         for p in range(c.k + 1)
     )
 
@@ -413,7 +443,8 @@ def test_shift_identity_agrees_with_integer_solving_on_random_spans():
             b = checks._random_matrix(rng, m, m, -4, 4)
         else:
             b = base @ checks._random_matrix(rng, r, m, -3, 3)
-        c = KoszulComplex(1, m, (IntMatrix.identity(m) + b,), (a,))
+        c = KoszulComplex(1, m, (SparseMatrix.from_dense(IntMatrix.identity(m) + b),),
+                          (SparseMatrix.from_dense(a),))
         for j in range(m):
             unit = [int(i == j) for i in range(m)]
             column = IntMatrix(m, 1, [b[i, j] for i in range(m)])
