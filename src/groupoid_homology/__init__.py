@@ -32,7 +32,6 @@ from .dr_finite import ZkAction, orbit_count, orbit_oracle, to_koszul, validate_
 from .exact_linalg import (
     IntMatrix,
     SnfResult,
-    SparseMatrix,
     cokernel,
     det,
     kernel_basis,
@@ -65,7 +64,6 @@ __all__ = [
     "KTheoryResult",
     "KoszulComplex",
     "SnfResult",
-    "SparseMatrix",
     "TRIVIAL",
     "Z",
     "ZkAction",

@@ -4,7 +4,8 @@ An action is stored as k image arrays: perms[i][x] is where the i-th
 generator sends the point x. The transformation groupoid of such an
 action is computed through the same chain complex as the graph case,
 with the permutation matrices acting on the free module over the points,
-written as SparseMatrix rows straight from the images.
+each written as IntMatrix rows, one entry per row, straight from the
+images.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 
 from .abelian import HomologyProfile, _exact_ints, direct_sum
 from .errors import DimensionMismatch, NonCommuting, NotBijective
-from .exact_linalg import SparseMatrix
+from .exact_linalg import IntMatrix
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import KoszulComplex, build, homology
 
@@ -100,12 +101,12 @@ def validate_action(a: ZkAction) -> list[str]:
     return [f for _, f in _findings(a)]
 
 
-def _perm_matrix(p: tuple[int, ...], n: int) -> SparseMatrix:
+def _perm_matrix(p: tuple[int, ...], n: int) -> IntMatrix:
     # p must be a bijection of range(n), so every row gets exactly one entry
     rows = [None] * n
     for y, img in enumerate(p):
         rows[img] = {y: 1}
-    return SparseMatrix(tuple(rows), n)
+    return IntMatrix._wrap(rows, n)
 
 
 def to_koszul(a: ZkAction) -> KoszulComplex:
@@ -150,7 +151,7 @@ def orbit_oracle(a: ZkAction) -> HomologyProfile:
     that never looks at which permutation sends which point where, only
     at the orbit partition, which makes it a useful cross-check.
     """
-    point = build(a.k, [SparseMatrix(({0: 1},), 1)] * a.k, m=1)
+    point = build(a.k, [IntMatrix.identity(1)] * a.k, m=1)
     per_orbit = homology(point)
     n_orbits = orbit_count(a)
     return HomologyProfile(

@@ -1,6 +1,6 @@
 """Exact linear algebra over the integers.
 
-Dense matrices of Python ints (so arbitrary precision everywhere), Smith
+Matrices of Python ints (so arbitrary precision everywhere), Smith
 normal form with unimodular transforms, kernel and cokernel of integer
 maps, and columnwise integer solving. No floating point is used at any
 point; every result is exact.
@@ -15,24 +15,23 @@ the transforms to hundreds of bits where reducing a directly gives
 thousands. Matrices cache nothing, so solve_columns reduces its matrix
 on every call.
 
-Storage is plain Python: an IntMatrix is a tuple of row tuples plus
-its column count. Reductions work on row lists, with every row
-operation one map over a row; _smithify keeps V transposed, so column
-operations on V are row operations too. Products skip the zero entries
-of their left factor.
+Storage is plain Python: an IntMatrix keeps the {col: value} dicts of
+the nonzeros of its rows, plus its column count, so vertex matrices,
+Koszul endomorphisms and boundaries are all one type. Its product goes
+row by row and costs about the nonzeros of the left factor times those
+of a row of the right one. The reductions copy their input out as
+dense row lists, with every row operation one map over a row;
+_smithify keeps V transposed, so column operations on V are row
+operations too.
 
-A SparseMatrix keeps only the {col: value} dicts of its rows; its
-product costs about the nonzeros of the left factor times those of a
-row of the right one. It is the one form on the homology path: the
-Koszul endomorphisms and boundaries are stored this way, and cokernel
-takes nothing else. _eliminate first takes out pivots that divide their
-row and column and hands back the rows it leaves; those are split into
-the connected blocks of their support, and only each block is written
-dense, with its wide side as rows, for _smithify. The boundaries of a
-torus orbit and of a single vertex with every count 3 leave no block
-at all. invariant_factors, snf, kernel_basis, solve_columns and det
-reduce the whole dense matrix, which keeps them a reference for
-cokernel.
+cokernel is the one reduction on the homology path. _eliminate first
+takes out pivots that divide their row and column, on the dict rows,
+and hands back the rows it leaves; those are split into the connected
+blocks of their support, and only each block is written dense, with
+its wide side as rows, for _smithify. The boundaries of a torus orbit
+and of a single vertex with every count 3 leave no block at all.
+invariant_factors, snf, kernel_basis, solve_columns and det reduce the
+whole matrix written dense, which keeps them a reference for cokernel.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from contextvars import ContextVar
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, index, mul, sub
 
 from .abelian import FgAbGroup, _exact_ints
 from .errors import DimensionMismatch, NoIntegerSolution
@@ -81,13 +80,15 @@ def _max_abs(rows) -> int:
 
 
 class IntMatrix:
-    """An immutable dense matrix of arbitrary-precision integers.
+    """An immutable matrix of arbitrary-precision integers.
 
-    Entries are stored as a tuple of row tuples. Arithmetic never
-    overflows and never rounds; all operations return new matrices.
+    data holds one {col: value} dict per row with the nonzero entries of
+    that row, and cols is the column count. Arithmetic never overflows
+    and never rounds; all operations return new matrices and no stored
+    row is ever changed, so matrices may share rows.
     """
 
-    __slots__ = ("_data", "_ncols")
+    __slots__ = ("data", "cols")
 
     def __init__(self, rows: int, cols: int, entries):
         flat = _exact_ints(entries)
@@ -98,15 +99,17 @@ class IntMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(flat)}"
             )
-        self._data = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
-        self._ncols = cols
+        chunks = (flat[i * cols:(i + 1) * cols] for i in range(rows))
+        self.data = tuple(dict(compress(enumerate(row), row)) for row in chunks)
+        self.cols = cols
 
     @classmethod
-    def _wrap(cls, rows, cols: int) -> "IntMatrix":
-        # Trusted path: rows must be sequences of cols Python ints each.
+    def _wrap(cls, data, cols: int) -> "IntMatrix":
+        # Trusted path: data must be {col: value} dicts of nonzero Python
+        # ints with 0 <= col < cols, one per row, never changed afterwards.
         m = object.__new__(cls)
-        m._data = tuple(map(tuple, rows))
-        m._ncols = cols
+        m.data = tuple(data)
+        m.cols = cols
         return m
 
     @classmethod
@@ -126,117 +129,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._wrap(_identity_rows(n), n)
+        return cls._wrap(({i: 1} for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._wrap(((0,) * cols,) * rows, cols)
-
-    @property
-    def rows(self) -> int:
-        return len(self._data)
-
-    @property
-    def cols(self) -> int:
-        return self._ncols
-
-    @property
-    def shape(self):
-        return len(self._data), self._ncols
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(self._data))
-
-    def __getitem__(self, key) -> int:
-        i, j = key
-        return self._data[i][j]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(row) for row in self._data]
-
-    def transpose(self) -> "IntMatrix":
-        if not self._data:
-            return IntMatrix.zeros(self._ncols, 0)
-        return IntMatrix._wrap(zip(*self._data), self.rows)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        # one scaled row of other per nonzero entry of self
-        zero = (0,) * other._ncols
-        out = []
-        for row in self._data:
-            acc = zero
-            for x, orow in zip(row, other._data):
-                if x:
-                    acc = _minus_multiple(acc, -x, orow)
-            out.append(acc)
-        return IntMatrix._wrap(out, other._ncols)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
-        return IntMatrix._wrap(
-            (map(add, r, s) for r, s in zip(self._data, other._data)), self._ncols)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
-        return IntMatrix._wrap(
-            (map(sub, r, s) for r, s in zip(self._data, other._data)), self._ncols)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._wrap((map(neg, row) for row in self._data), self._ncols)
-
-    def __rmul__(self, scalar: int) -> "IntMatrix":
-        (scalar,) = _exact_ints((scalar,))
-        return IntMatrix._wrap(([scalar * x for x in row] for row in self._data),
-                               self._ncols)
-
-    def kron(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix._wrap(
-            ([x * y for x in ra for y in rb] for ra in self._data for rb in other._data),
-            self._ncols * other._ncols,
-        )
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self._data))
-
-    def max_bit_length(self) -> int:
-        """Bit length of the largest entry by absolute value (0 if empty)."""
-        return _max_abs(self._data).bit_length()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self._ncols == other._ncols and self._data == other._data
-
-    def __hash__(self):
-        return hash((self._ncols, self._data))
-
-    def __repr__(self):
-        if self.rows * self.cols <= 36:
-            return f"IntMatrix.from_rows({self.to_rows()!r})"
-        return f"<IntMatrix {self.rows}x{self.cols}>"
-
-
-class SparseMatrix(namedtuple("SparseMatrix", "data cols")):
-    """An integer matrix kept as the {col: value} dicts of its rows.
-
-    data is a tuple with one dict per row holding its nonzero entries;
-    cols is the column count. koszul.build stores its endomorphisms and
-    boundaries this way and cokernel eliminates them as they are.
-    dense() gives the IntMatrix that the reference functions take.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def from_dense(cls, a: IntMatrix) -> "SparseMatrix":
-        return cls(tuple(dict(compress(enumerate(row), row)) for row in a._data), a.cols)
+        return cls._wrap(({} for _ in range(rows)), cols)
 
     @property
     def rows(self) -> int:
@@ -246,10 +143,33 @@ class SparseMatrix(namedtuple("SparseMatrix", "data cols")):
     def shape(self):
         return len(self.data), self.cols
 
-    def __hash__(self):
-        return hash((self.cols, tuple(frozenset(row.items()) for row in self.data)))
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.to_rows()))
 
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+    def __getitem__(self, key) -> int:
+        """Entry (i, j) by Python's index rules: negative indices count
+        from the end, and an index out of range raises IndexError."""
+        i, j = key
+        return self.data[i].get(range(self.cols)[index(j)], 0)
+
+    def to_rows(self) -> list[list[int]]:
+        out = []
+        for row in self.data:
+            dense = [0] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
+
+    def transpose(self) -> "IntMatrix":
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                out[j][i] = x
+        return IntMatrix._wrap(out, self.rows)
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Product row by row: each nonzero x of a row adds x times one
         row of other. Zero sums are dropped."""
         if self.cols != other.rows:
@@ -263,11 +183,60 @@ class SparseMatrix(namedtuple("SparseMatrix", "data cols")):
                 for c, y in other.data[j].items():
                     acc[c] = acc.get(c, 0) + x * y
             out.append({c: v for c, v in acc.items() if v})
-        return SparseMatrix(tuple(out), other.cols)
+        return IntMatrix._wrap(out, other.cols)
 
-    def dense(self) -> IntMatrix:
-        return IntMatrix._wrap(([row.get(j, 0) for j in range(self.cols)]
+    def _plus(self, other: "IntMatrix", sign: int) -> "IntMatrix":
+        """self + sign * other, row by row."""
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
+        out = []
+        for row, orow in zip(self.data, other.data):
+            acc = dict(row)
+            for c, y in orow.items():
+                v = acc.pop(c, 0) + sign * y
+                if v:
+                    acc[c] = v
+            out.append(acc)
+        return IntMatrix._wrap(out, self.cols)
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._plus(other, -1)
+
+    def __rmul__(self, scalar: int) -> "IntMatrix":
+        (scalar,) = _exact_ints((scalar,))
+        return IntMatrix._wrap(({c: scalar * x for c, x in row.items()} if scalar else {}
                                 for row in self.data), self.cols)
+
+    def kron(self, other: "IntMatrix") -> "IntMatrix":
+        n = other.cols
+        return IntMatrix._wrap(
+            ({ja * n + jb: x * y for ja, x in ra.items() for jb, y in rb.items()}
+             for ra in self.data for rb in other.data),
+            self.cols * n,
+        )
+
+    def is_zero(self) -> bool:
+        return not any(self.data)
+
+    def max_bit_length(self) -> int:
+        """Bit length of the largest entry by absolute value (0 if empty)."""
+        return _max_abs([row.values() for row in self.data]).bit_length()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.cols == other.cols and self.data == other.data
+
+    def __hash__(self):
+        return hash((self.cols, tuple(frozenset(row.items()) for row in self.data)))
+
+    def __repr__(self):
+        if self.rows * self.cols <= 36:
+            return f"IntMatrix.from_rows({self.to_rows()!r})"
+        return f"<IntMatrix {self.rows}x{self.cols}>"
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +354,9 @@ def _pick_pivot(A, stats):
     return at, min(row.index(x) for x in (least, -least) if x in row)
 
 
-def _smithify(a: IntMatrix, want_u: bool, want_v: bool):
-    """Reduce a to Smith form; return (diagonal, U, V^t) as row lists.
+def _smithify(A: list[list[int]], cols: int, want_u: bool, want_v: bool):
+    """Reduce the dense rows A, cols wide, to Smith form; return
+    (diagonal, U, V^t) as row lists. A is overwritten.
 
     Pivoting: the nonzero entry of least absolute value in the remaining
     block, ties broken by lowest (row, col). Each clearing pass uses
@@ -400,7 +370,7 @@ def _smithify(a: IntMatrix, want_u: bool, want_v: bool):
     column are zero apart from the pivot, so the working block A is the
     trailing (rows - t) x (cols - t) block at step t.
     """
-    A, nrows, cols = a.to_rows(), a.rows, a.cols
+    nrows = len(A)
     U = _identity_rows(nrows) if want_u else None
     Vt = _identity_rows(cols) if want_v else None
     stats = _TRACK.get()
@@ -484,12 +454,13 @@ def _hermite(a: IntMatrix):
     transforms followed by the kernel rows, so W is unimodular.
     """
     m, n = a.rows, a.cols
+    rows = a.to_rows()
     stats = _TRACK.get()
     if stats is not None:
-        stats.begin_reduction(m, n, _max_abs(a._data))
+        stats.begin_reduction(m, n, _max_abs(rows))
     basis = {}  # pivot column -> row of [H | W]
     kernel = []
-    for i, row in enumerate(a._data):
+    for i, row in enumerate(rows):
         h = [*row, *[0] * i, 1, *[0] * (m - i - 1)]
         c = 0
         while True:
@@ -536,10 +507,11 @@ def snf(a: IntMatrix) -> SnfResult:
     """
     H, W = _hermite(a)
     r = len(H)
-    diag, U, Vt = _smithify(IntMatrix._wrap(H, a.cols), True, True)
-    top = IntMatrix._wrap(U, r) @ IntMatrix._wrap(W[:r], a.rows)
-    u = IntMatrix._wrap([*top._data, *W[r:]], a.rows)
-    v = IntMatrix._wrap(Vt, a.cols).transpose()
+    diag, U, Vt = _smithify(H, a.cols, True, True)
+    W = IntMatrix.from_rows(W, cols=a.rows)
+    top = IntMatrix.from_rows(U, cols=r) @ IntMatrix._wrap(W.data[:r], a.rows)
+    u = IntMatrix._wrap(top.data + W.data[r:], a.rows)
+    v = IntMatrix.from_rows(Vt, cols=a.cols).transpose()
     stats = _TRACK.get()
     if stats is not None:
         stats.transform_bits = max(stats.transform_bits, u.max_bit_length(),
@@ -550,7 +522,7 @@ def snf(a: IntMatrix) -> SnfResult:
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form only (no transforms; faster)."""
-    diag, _, _ = _smithify(a, False, False)
+    diag, _, _ = _smithify(a.to_rows(), a.cols, False, False)
     return tuple(diag)
 
 
@@ -568,9 +540,9 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     Homology does not need this: its kernel ranks are cols - rank. This
     is a utility for callers that want explicit cycles.
     """
-    diag, _, Vt = _smithify(a, False, True)
+    diag, _, Vt = _smithify(a.to_rows(), a.cols, False, True)
     r = sum(1 for x in diag if x)
-    return IntMatrix._wrap(Vt[r:], a.cols).transpose()
+    return IntMatrix.from_rows(Vt[r:], cols=a.cols).transpose()
 
 
 def _blocks(rows) -> list[tuple[list[int], list[int]]]:
@@ -603,7 +575,7 @@ def _blocks(rows) -> list[tuple[list[int], list[int]]]:
     return blocks
 
 
-def _eliminate(a: SparseMatrix):
+def _eliminate(a: IntMatrix):
     """Sparse elimination of divisible pivots; return (orders, rows).
 
     A pivot is an entry x that divides every entry of its row and of its
@@ -618,7 +590,9 @@ def _eliminate(a: SparseMatrix):
     each column keeps the set of rows where it is nonzero. Rows wait in a
     lazy heap keyed by (gcd, length, index); the popped row pivots on its
     +-gcd entry whose column has the fewest nonzeros, among those that
-    divide their column. A row with no such entry is taken up again only
+    divide their column. The +-gcd entries are tried in order of
+    (column length, column) and the first that divides its column is
+    taken, so a column is scanned only until the pivot is found. A row with no such entry is taken up again only
     when an elimination changes it, so the core may keep a divisible
     entry; it is then reduced like the rest. orders holds |x| of each
     pivot; rows are the {col: value} rows left over, one per row of a,
@@ -642,9 +616,10 @@ def _eliminate(a: SparseMatrix):
             continue
         del queued[i]
         row = rows[i]
-        j = min((j for j, x in row.items() if abs(x) == g and (
-            g == 1 or all(rows[k][j] % g == 0 for k in cols[j]))),
-            key=lambda j: (len(cols[j]), j), default=None)
+        candidates = sorted((j for j, x in row.items() if abs(x) == g),
+                            key=lambda j: (len(cols[j]), j))
+        j = next((j for j in candidates
+                  if g == 1 or all(rows[k][j] % g == 0 for k in cols[j])), None)
         if j is None:
             continue
         for c in row:
@@ -675,7 +650,7 @@ def _eliminate(a: SparseMatrix):
     return orders, rows
 
 
-def cokernel(a: SparseMatrix) -> FgAbGroup:
+def cokernel(a: IntMatrix) -> FgAbGroup:
     """Z^rows modulo the column span of a.
 
     Free rank is rows - rank; the invariant factors > 1 are the torsion.
@@ -683,8 +658,8 @@ def cokernel(a: SparseMatrix) -> FgAbGroup:
     split into the connected blocks of their support (_blocks): up to
     row and column order they are block diagonal, so their cokernel is
     the direct sum of the blocks' cokernels and a Z per empty row. Each
-    block is written dense with its wide side as rows and reduced by
-    invariant_factors, since a matrix and its transpose have the same
+    block is written dense with its wide side as rows and handed to
+    _smithify as it is, since a matrix and its transpose have the same
     invariant factors and _smithify does one row operation per row per
     clearing pass. from_orders renormalizes the torsion of all pivots
     and blocks (Z_2 from one block and Z_3 from another give Z_6).
@@ -695,7 +670,7 @@ def cokernel(a: SparseMatrix) -> FgAbGroup:
             block = [[rows[i].get(j, 0) for i in ri] for j in cj]
         else:
             block = [[rows[i].get(j, 0) for j in cj] for i in ri]
-        orders += invariant_factors(IntMatrix._wrap(block, len(block[0])))
+        orders += _smithify(block, len(block[0]), False, False)[0]
     r = sum(1 for x in orders if x)
     return FgAbGroup.from_orders(a.rows - r, [x for x in orders if x > 1])
 
@@ -716,7 +691,7 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     res = snf(a)
     d = res.d
     z = [[0] * b.cols for _ in range(a.cols)]
-    for i, row in enumerate((res.u @ b)._data):
+    for i, row in enumerate((res.u @ b).to_rows()):
         di = d[i] if i < len(d) else 0
         if di == 0:
             j = next((j for j, x in enumerate(row) if x), None)
@@ -732,7 +707,7 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                     f"multiple of invariant factor {di}"
                 )
             z[i] = [x // di for x in row]
-    return res.v @ IntMatrix._wrap(z, b.cols)
+    return res.v @ IntMatrix.from_rows(z, cols=b.cols)
 
 
 def det(a: IntMatrix) -> int:

@@ -25,7 +25,7 @@ from .errors import (
     RankUnsupported,
     SkeletonInvalid,
 )
-from .exact_linalg import IntMatrix, SparseMatrix, cokernel
+from .exact_linalg import IntMatrix, cokernel
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import build, homology
 
@@ -69,11 +69,10 @@ def validate(s: KGraphSkeleton) -> list[str]:
     suppressed when the skeleton allows sources.
     """
     findings = _negative_findings(s)
-    sparse = [SparseMatrix.from_dense(m) for m in s.matrices] if s.k > 1 else []
     for i in range(s.k):
         for j in range(i + 1, s.k):
-            p = sparse[i] @ sparse[j]
-            q = sparse[j] @ sparse[i]
+            p = s.matrices[i] @ s.matrices[j]
+            q = s.matrices[j] @ s.matrices[i]
             if p != q:
                 v, a, b = next((v, a, b) for v, (a, b) in enumerate(zip(p.data, q.data))
                                if a != b)
@@ -94,15 +93,15 @@ def validate(s: KGraphSkeleton) -> list[str]:
 
 def _negative_findings(s: KGraphSkeleton) -> list[str]:
     return [
-        f"matrices[{i}] entry ({v},{w}) is negative: {m[v, w]}"
+        f"matrices[{i}] entry ({v},{w}) is negative: {x}"
         for i, m in enumerate(s.matrices)
-        for v, row in enumerate(m.to_rows())
-        for w, x in enumerate(row) if x < 0
+        for v, row in enumerate(m.data)
+        for w, x in sorted(row.items()) if x < 0
     ]
 
 
 def _zero_rows(m: IntMatrix) -> list[int]:
-    return [v for v, row in enumerate(m.to_rows()) if not any(row)]
+    return [v for v, row in enumerate(m.data) if not row]
 
 
 def _require_valid(s: KGraphSkeleton) -> None:
@@ -284,13 +283,12 @@ def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
     n = len(s.vertices)
     edges = sum(m.entries)
     # one column per ordered pair v != w with an edge, in row-major order
-    pairs = [(v, w) for v, row in enumerate(m.to_rows())
-             for w, x in enumerate(row) if x and v != w]
+    pairs = [(v, w) for v, row in enumerate(m.data) for w in sorted(row) if v != w]
     incidence = [{} for _ in range(n)]
     for col, (v, w) in enumerate(pairs):
         incidence[w][col] = 1
         incidence[v][col] = -1
-    h0 = cokernel(SparseMatrix(tuple(incidence), len(pairs)))
+    h0 = cokernel(IntMatrix._wrap(incidence, len(pairs)))
     if h0.torsion:
         raise BrokenComplex("graph incidence cokernel acquired torsion")
     h1 = FgAbGroup.free(edges - (n - h0.free_rank))

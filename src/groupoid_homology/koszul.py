@@ -8,14 +8,13 @@ boundary drops one index at a time and applies id - S_i with an
 alternating sign. Homology of this complex is what the rest of the
 package computes for groupoid presentations.
 
-The complex lives in one form, SparseMatrix rows, from build to
-cokernel: build turns each dense endomorphism it is given into rows
-once, writes the {col: value} rows of the blocks +-(id - S_i) from
-them, checks d o d = 0 row by row, and homology hands the stored
-boundaries to cokernel as they are. A column of the degree-p boundary
-holds the nonzeros of p such blocks, at most 2p for a Z^k action by
-permutations. boundary(p) gives the dense IntMatrix that the reference
-functions and the checks take.
+Endomorphisms and boundaries are IntMatrix, which keeps the
+{col: value} rows of its nonzeros: build writes the rows of the blocks
++-(id - S_i) from the rows of the endomorphisms it is given, checks
+d o d = 0 row by row, and homology hands the stored boundaries to
+cokernel as they are. A column of the degree-p boundary holds the
+nonzeros of p such blocks, at most 2p for a Z^k action by
+permutations.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from math import comb, prod
 
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints
 from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
-from .exact_linalg import IntMatrix, SparseMatrix, cokernel, invariant_factors
+from .exact_linalg import IntMatrix, cokernel, invariant_factors
 # unused here, but perfbench/tracing.py wraps these two at this module by name
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
@@ -34,9 +33,9 @@ from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
     """The assembled complex: endomorphisms plus stored boundaries.
 
-    k and m are ints, endos a tuple of k m x m SparseMatrix, and
-    boundaries[p - 1] the degree-p boundary for 1 <= p <= k, a
-    SparseMatrix mapping Z^(C(k,p) * m) -> Z^(C(k,p-1) * m).
+    k and m are ints, endos a tuple of k m x m IntMatrix, and
+    boundaries[p - 1] the degree-p boundary for 1 <= p <= k, an
+    IntMatrix mapping Z^(C(k,p) * m) -> Z^(C(k,p-1) * m).
     """
 
     __slots__ = ()
@@ -48,10 +47,9 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
         return comb(self.k, p) * self.m
 
     def boundary(self, p: int) -> IntMatrix:
-        """Boundary map out of degree p as an IntMatrix; zero maps close
-        both ends."""
+        """Boundary map out of degree p; zero maps close both ends."""
         if 1 <= p <= self.k:
-            return self.boundaries[p - 1].dense()
+            return self.boundaries[p - 1]
         if p == 0:
             return IntMatrix.zeros(0, self.dim(0))
         if p == self.k + 1:
@@ -69,19 +67,18 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     returning. In degree 2 this is the commutation check: column block
     (i, j) of the composite is S_j S_i - S_i S_j, and the first nonzero
     block is raised as NonCommuting. In higher degrees it guards the
-    assembly against sign and indexing mistakes (BrokenComplex). An
-    IntMatrix endomorphism is turned into SparseMatrix rows once; the
-    boundaries are written from those rows and the composite is taken
-    row by row, so the check costs about the nonzeros of the lower
-    boundary times those of a row of the upper one.
+    assembly against sign and indexing mistakes (BrokenComplex). The
+    endomorphisms are stored as they are given; the boundaries are
+    written from their rows and the composite is taken row by row, so
+    the check costs about the nonzeros of the lower boundary times those
+    of a row of the upper one.
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
     """
     k = _exact_ints([k])[0]
     m = None if m is None else _exact_ints([m])[0]
-    endos = tuple(s if isinstance(s, SparseMatrix) else SparseMatrix.from_dense(s)
-                  for s in endos)
+    endos = tuple(endos)
     if len(endos) != k:
         raise DimensionMismatch(f"expected {k} endomorphisms, got {len(endos)}")
     if k == 0:
@@ -116,7 +113,7 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
                     for c, x in blk[r].items():
                         row[off + c] = x
                 rows.append(row)
-        boundaries.append(SparseMatrix(tuple(rows), len(col_index) * m0))
+        boundaries.append(IntMatrix._wrap(rows, len(col_index) * m0))
 
     for p in range(2, k + 1):
         composite = boundaries[p - 2] @ boundaries[p - 1]
@@ -131,7 +128,7 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     return KoszulComplex(k, m0, endos, tuple(boundaries))
 
 
-def _diff_rows(s: SparseMatrix):
+def _diff_rows(s: IntMatrix):
     """Rows of id - s and of s - id, as {col: value} dicts of nonzeros."""
     plus, minus = [], []
     for r, row in enumerate(s.data):
@@ -144,12 +141,6 @@ def _diff_rows(s: SparseMatrix):
     return plus, minus
 
 
-def _first_nonzero_column(a: IntMatrix) -> int | None:
-    """Index of the first column of a with a nonzero entry, or None."""
-    return min((j for row in a._data if any(row) for j, x in enumerate(row) if x),
-               default=None)
-
-
 def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     """Homology groups H_0 .. H_k of the complex, exactly.
 
@@ -160,8 +151,8 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     between free modules is a direct summand, so all torsion of
     Z^(n_p) / image sits inside kernel / image. Each boundary is
     therefore reduced exactly once, with no transforms: the cokernel of
-    the stored degree-(p+1) boundary (empty n_k x 0 rows above the top)
-    gives the torsion, already a chain, and n_p - r_{p+1}, and r_p is
+    boundary(p + 1), the stored boundary or the n_k x 0 zero map above
+    the top, gives the torsion, already a chain, and n_p - r_{p+1}, and r_p is
     carried over from the previous degree. A negative free rank can only
     come from a hand-built complex whose boundaries do not compose to
     zero, and raises BrokenComplex.
@@ -169,8 +160,7 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     groups = []
     r_p = 0
     for p in range(c.k + 1):
-        d = c.boundaries[p] if p < c.k else SparseMatrix(
-            tuple({} for _ in range(c.dim(p))), 0)
+        d = c.boundary(p + 1)
         coker = cokernel(d)
         free = coker.free_rank - r_p
         if free < 0:
@@ -220,13 +210,14 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     Z = _as_column_matrix(cycles, c.dim(p))
     if Z.cols == 0:
         return True
-    bad = _first_nonzero_column(c.boundary(p) @ Z)
+    bad = min((j for row in (c.boundary(p) @ Z).data for j in row), default=None)
     if bad is not None:
         raise NotACycle(f"input {bad} is not a degree-{p} cycle")
     # (id (x) S_i) z - z for every cycle z; the product skips the zeros
-    moved = IntMatrix.identity(comb(c.k, p)).kron(c.endos[i].dense()) @ Z - Z
+    moved = IntMatrix.identity(comb(c.k, p)).kron(c.endos[i]) @ Z - Z
     a = c.boundary(p + 1)
-    augmented = [x + y for x, y in zip(a._data, moved._data)]
+    augmented = [{**x, **{a.cols + j: v for j, v in y.items()}}
+                 for x, y in zip(a.data, moved.data)]
     return _span_index(a) == _span_index(IntMatrix._wrap(augmented, a.cols + Z.cols))
 
 

@@ -12,7 +12,6 @@ from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.errors import DimensionMismatch, NoIntegerSolution
 from groupoid_homology.exact_linalg import (
     IntMatrix,
-    SparseMatrix,
     _blocks,
     _eliminate,
     cokernel,
@@ -362,17 +361,17 @@ def test_kernel_is_primitive(a, coefficients):
 # --- cokernels ------------------------------------------------------------
 
 def test_cokernel_examples():
-    c = cokernel(SparseMatrix.from_dense(IntMatrix.from_rows([[-4, -2], [-2, -2]])))
+    c = cokernel(IntMatrix.from_rows([[-4, -2], [-2, -2]]))
     assert c.free_rank == 0 and c.torsion == (2, 2)
-    assert cokernel(SparseMatrix.from_dense(IntMatrix.from_rows([[-1]]))).is_trivial
-    free = cokernel(SparseMatrix.from_dense(IntMatrix.zeros(2, 0)))
+    assert cokernel(IntMatrix.from_rows([[-1]])).is_trivial
+    free = cokernel(IntMatrix.zeros(2, 0))
     assert free.free_rank == 2 and free.torsion == ()
 
 
 @settings(deadline=None)
 @given(matrices(max_dim=4, max_entry=9), st.data())
 def test_cokernel_invariant_under_elementary_ops(a, data):
-    before = cokernel(SparseMatrix.from_dense(a))
+    before = cokernel(a)
     rows = a.to_rows()
     for _ in range(data.draw(st.integers(1, 4))):
         kind = data.draw(st.sampled_from(["row", "col", "swap", "negate"]))
@@ -393,7 +392,7 @@ def test_cokernel_invariant_under_elementary_ops(a, data):
             rows[0], rows[-1] = rows[-1], rows[0]
         elif a.rows >= 1 and a.cols >= 1 and kind == "negate":
             rows[0] = [-x for x in rows[0]]
-    assert cokernel(SparseMatrix.from_dense(IntMatrix.from_rows(rows, cols=a.cols))) == before
+    assert cokernel(IntMatrix.from_rows(rows, cols=a.cols)) == before
 
 
 # entries for the split-cokernel net: units, small primes, and values
@@ -435,7 +434,7 @@ def _whole(a: IntMatrix) -> FgAbGroup:
 @settings(deadline=None, max_examples=150)
 @given(split_matrices())
 def test_split_cokernel_matches_the_whole_matrix_reduction(a):
-    assert cokernel(SparseMatrix.from_dense(a)) == _whole(a)
+    assert cokernel(a) == _whole(a)
 
 
 def _shuffled_blocks(rng, blocks, zero_rows=0, zero_cols=0) -> IntMatrix:
@@ -474,10 +473,10 @@ def test_eliminating_cokernel_matches_the_whole_matrix_reduction(kind):
                   for rows, cols in ((rng.randint(0, 6), rng.randint(1, 6))
                                      for _ in range(rng.randint(1, 3)))]
         a = _shuffled_blocks(rng, blocks, rng.randint(0, 2), rng.randint(0, 2))
-        assert cokernel(SparseMatrix.from_dense(a)) == _whole(a), a
+        assert cokernel(a) == _whole(a), a
     for shape in ((0, 0), (0, 3), (3, 0), (2, 2)):
         a = IntMatrix.zeros(*shape)
-        assert cokernel(SparseMatrix.from_dense(a)) == _whole(a) == FgAbGroup(shape[0], ())
+        assert cokernel(a) == _whole(a) == FgAbGroup(shape[0], ())
 
 
 def test_cokernel_without_a_divisible_pivot_reduces_every_block():
@@ -487,12 +486,12 @@ def test_cokernel_without_a_divisible_pivot_reduces_every_block():
     for _ in range(40):
         blocks = [rng.choice(no_pivot) for _ in range(rng.randint(1, 4))]
         a = _shuffled_blocks(rng, blocks, rng.randint(0, 2), rng.randint(0, 2))
-        orders, rows = _eliminate(SparseMatrix.from_dense(a))
+        orders, rows = _eliminate(a)
         assert orders == []
         # the core: the rows left nonempty, the columns they still hold
         core_shape = sum(1 for row in rows if row), len(set().union(*rows))
         assert core_shape == (sum(map(len, blocks)), sum(len(b[0]) for b in blocks))
-        assert cokernel(SparseMatrix.from_dense(a)) == _whole(a), a
+        assert cokernel(a) == _whole(a), a
 
 
 def test_cokernel_matches_the_whole_reduction_on_perf_skeleton_boundaries():
@@ -503,21 +502,74 @@ def test_cokernel_matches_the_whole_reduction_on_perf_skeleton_boundaries():
             assert cokernel(c.boundaries[p - 1]) == _whole(c.boundary(p))
 
 
-def test_sparse_product_matches_the_dense_product():
-    rng = random.Random("sparse-product")
-    zero = 0
-    for _ in range(200):
-        r, n, c = (rng.randint(0, 5) for _ in range(3))
-        a = IntMatrix(r, n, [rng.choice((0, 0, 1, -1, 2)) for _ in range(r * n)])
-        b = IntMatrix(n, c, [rng.choice((0, 0, 1, -2, 3)) for _ in range(n * c)])
-        product = SparseMatrix.from_dense(a) @ SparseMatrix.from_dense(b)
-        assert product == SparseMatrix.from_dense(a @ b), (a, b)
-        assert product.dense() == a @ b
-        zero += (a @ b).is_zero()
-    assert 0 < zero < 200
+# --- IntMatrix against nested lists ----------------------------------------
+
+# mostly zeros and units, so rows are sparse and sums cancel, plus
+# entries beyond a machine word
+ORACLE_ENTRIES = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                           st.integers(-10**20, 10**20))
+
+
+def _grid(data, rows, cols):
+    return [data.draw(st.lists(ORACLE_ENTRIES, min_size=cols, max_size=cols))
+            for _ in range(rows)]
+
+
+def _agrees(m: IntMatrix, rows, cols):
+    """m holds exactly rows, and equals and hashes like the matrix
+    built from them."""
+    assert m.shape == (len(rows), cols)
+    assert m.to_rows() == rows
+    assert m.entries == tuple(x for row in rows for x in row)
+    built = IntMatrix.from_rows(rows, cols=cols)
+    assert m == built and hash(m) == hash(built)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_int_matrix_matches_nested_lists(data):
+    r, n, c, p, q = (data.draw(st.integers(0, 4)) for _ in range(5))
+    A, A2, B, K = _grid(data, r, n), _grid(data, r, n), _grid(data, n, c), _grid(data, p, q)
+    s = data.draw(ORACLE_ENTRIES)
+    a, a2, b, k = (IntMatrix(len(g), w, [x for row in g for x in row])
+                   for g, w in ((A, n), (A2, n), (B, c), (K, q)))
+    _agrees(a, A, n)
+    for i in range(-r - 1, r + 1):
+        for j in range(-n - 1, n + 1):
+            if -r <= i < r and -n <= j < n:
+                assert a[i, j] == A[i][j]
+            else:
+                with pytest.raises(IndexError):
+                    a[i, j]
+    _agrees(a.transpose(), [[A[i][j] for i in range(r)] for j in range(n)], r)
+    _agrees(a @ b, [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(c)]
+                    for i in range(r)], c)
+    _agrees(a + a2, [[x + y for x, y in zip(u, v)] for u, v in zip(A, A2)], n)
+    _agrees(a - a2, [[x - y for x, y in zip(u, v)] for u, v in zip(A, A2)], n)
+    _agrees(s * a, [[s * x for x in row] for row in A], n)
+    _agrees(a.kron(k), [[A[i][j] * K[t][u] for j in range(n) for u in range(q)]
+                        for i in range(r) for t in range(p)], n * q)
+    assert a.is_zero() is (not any(map(any, A)))
+    assert a.max_bit_length() == max((abs(x) for row in A for x in row),
+                                     default=0).bit_length()
+    # equality and hash across construction routes
+    for same in (a + a2 - a2, a.transpose().transpose(), 1 * a,
+                 a @ IntMatrix.identity(n), IntMatrix.from_rows(A, cols=n)):
+        assert same == a and hash(same) == hash(a)
+    assert (a == a2) is (A == A2)
+    assert (0 * a == IntMatrix.zeros(r, n)) and (a - a).is_zero()
+
+
+def test_int_matrix_products_and_sums_drop_cancelled_entries():
+    prod = IntMatrix.from_rows([[1, 1]]) @ IntMatrix.from_rows([[1], [-1]])
+    assert prod.data == ({},) and prod == IntMatrix.zeros(1, 1)
+    a = IntMatrix.from_rows([[2, 0, -1]])
+    assert (a + (-1) * a).data == ({},)
+    assert IntMatrix.zeros(0, 1) != IntMatrix.zeros(0, 2)
     with pytest.raises(DimensionMismatch):
-        SparseMatrix.from_dense(IntMatrix.zeros(2, 3)) @ SparseMatrix.from_dense(
-            IntMatrix.zeros(2, 3))
+        IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.zeros(2, 3) + IntMatrix.zeros(3, 2)
 
 
 def test_blocks_are_the_support_components():
@@ -528,11 +580,11 @@ def test_blocks_are_the_support_components():
         [0, 1, 0, 0, 0],
         [1, 0, 0, 0, 0],
     ])
-    blocks = [(list(r), list(c)) for r, c in _blocks(SparseMatrix.from_dense(a).data)]
+    blocks = [(list(r), list(c)) for r, c in _blocks(a.data)]
     # row 1 and column 2 are zero; column 4 is zero too
     assert blocks == [([0, 3], [1]), ([2, 4], [0, 3])]
-    assert _blocks(SparseMatrix.from_dense(IntMatrix.zeros(3, 0)).data) == []
-    assert _blocks(SparseMatrix.from_dense(IntMatrix.zeros(2, 2)).data) == []
+    assert _blocks(IntMatrix.zeros(3, 0).data) == []
+    assert _blocks(IntMatrix.zeros(2, 2).data) == []
 
 
 def test_split_cokernel_renormalizes_torsion_across_blocks():
@@ -540,14 +592,14 @@ def test_split_cokernel_renormalizes_torsion_across_blocks():
     # eliminated, so the elimination is the only reduction
     a = IntMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 3, 0]])
     with track_entry_growth() as stats:
-        c = cokernel(SparseMatrix.from_dense(a))
+        c = cokernel(a)
     assert c == FgAbGroup(1, (6,))
     assert stats.reductions == [[3, 3, 2, 2]]
     # two blocks with no divisible pivot, Z_5 and Z_7: Z_35, one
     # reduction each after the elimination
     a = IntMatrix.from_rows([[2, 3, 0, 0], [0, 0, 3, 4], [3, 2, 0, 0], [0, 0, 4, 3]])
     with track_entry_growth() as stats:
-        c = cokernel(SparseMatrix.from_dense(a))
+        c = cokernel(a)
     assert c == FgAbGroup(0, (35,))
     assert stats.reductions == [[4, 4, 3, 3], [2, 2, 2, 3], [2, 2, 3, 3]]
 

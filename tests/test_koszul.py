@@ -17,7 +17,6 @@ from groupoid_homology.errors import (
 )
 from groupoid_homology.exact_linalg import (
     IntMatrix,
-    SparseMatrix,
     _blocks,
     cokernel,
     kernel_basis,
@@ -152,7 +151,7 @@ def test_blockwise_commutation_check_names_the_dense_pair():
         fam = [_direct_sum(a, b) for a, b in zip(*parts)]
         d1, d2 = _dense_boundaries(fam)[:2]
         if (not bad[0] or not bad[1] or bad[0] == bad[1]
-                or len(_blocks(SparseMatrix.from_dense(d2).data)) < 2):
+                or len(_blocks(d2.data)) < 2):
             continue
         first = min(c for row in (d1 @ d2).to_rows() for c, x in enumerate(row) if x)
         i, j = list(combinations(range(k), 2))[first // fam[0].rows]
@@ -181,7 +180,7 @@ def _families_up_to_rank4():
         yield [m.transpose() for m in sk.matrices]
     for _ in range(20):
         a = _random_action(rng, max_k=4)
-        yield [dr_finite._perm_matrix(p, a.points).dense() for p in a.perms]
+        yield [dr_finite._perm_matrix(p, a.points) for p in a.perms]
 
 
 def test_build_matches_the_dense_assembly_in_every_degree():
@@ -191,14 +190,6 @@ def test_build_matches_the_dense_assembly_in_every_degree():
         assert [c.boundary(p) for p in range(1, c.k + 1)] == _dense_boundaries(fam)
         ranks.add(c.k)
     assert ranks == {1, 2, 3, 4}
-
-
-def test_build_takes_sparse_endomorphisms_as_their_dense_forms():
-    for fam in _families_up_to_rank4():
-        c = build(len(fam), [SparseMatrix.from_dense(s) for s in fam])
-        assert c == build(len(fam), fam)
-        assert hash(c) == hash(build(len(fam), fam))
-        assert all(type(s) is SparseMatrix for s in c.endos)
 
 
 @pytest.mark.parametrize("k, q", [(3, 3), (4, 3), (4, 4)])
@@ -329,13 +320,25 @@ def test_profile_has_exactly_k_plus_one_groups():
         assert len(prof.groups) == k + 1
 
 
+def test_hand_built_complex_of_int_matrices_gives_its_homology():
+    # a single vertex with counts 3 and 5, its endomorphisms and
+    # boundaries written by hand: H_0 = H_1 = Z_2 and H_2 = 0
+    endos = tuple(one_by_one(3, 5))
+    d1, d2 = IntMatrix.from_rows([[-2, -4]]), IntMatrix.from_rows([[4], [-2]])
+    c = KoszulComplex(2, 1, endos, (d1, d2))
+    assert c == build(2, endos)
+    assert [c.boundary(p) for p in range(4)] == [
+        IntMatrix.zeros(0, 1), d1, d2, IntMatrix.zeros(1, 0)]
+    assert cokernel(c.boundary(2)) == FgAbGroup(1, (2,))
+    assert homology(c).groups == (FgAbGroup(0, (2,)), FgAbGroup(0, (2,)), FgAbGroup(0))
+
+
 def test_broken_hand_built_complex_is_refused():
     # d_1 d_2 != 0 here, and r_1 + r_2 = 1 + 3 exceeds the chain rank 3
-    sparse = SparseMatrix.from_dense
-    c = KoszulComplex(3, 1, tuple(map(sparse, one_by_one(2, 2, 2))), (
-        sparse(IntMatrix.from_rows([[1, 0, 0]])),
-        sparse(IntMatrix.identity(3)),
-        sparse(IntMatrix.from_rows([[1], [0], [0]])),
+    c = KoszulComplex(3, 1, tuple(one_by_one(2, 2, 2)), (
+        IntMatrix.from_rows([[1, 0, 0]]),
+        IntMatrix.identity(3),
+        IntMatrix.from_rows([[1], [0], [0]]),
     ))
     with pytest.raises(BrokenComplex):
         homology(c)
@@ -345,8 +348,7 @@ def _kernel_solve_cokernel(c):
     """H_p by the transform route: rewrite the incoming boundary in a
     kernel basis of the outgoing one, then take the cokernel."""
     return tuple(
-        cokernel(SparseMatrix.from_dense(
-            solve_columns(kernel_basis(c.boundary(p)), c.boundary(p + 1))))
+        cokernel(solve_columns(kernel_basis(c.boundary(p)), c.boundary(p + 1)))
         for p in range(c.k + 1)
     )
 
@@ -443,8 +445,7 @@ def test_shift_identity_agrees_with_integer_solving_on_random_spans():
             b = checks._random_matrix(rng, m, m, -4, 4)
         else:
             b = base @ checks._random_matrix(rng, r, m, -3, 3)
-        c = KoszulComplex(1, m, (SparseMatrix.from_dense(IntMatrix.identity(m) + b),),
-                          (SparseMatrix.from_dense(a),))
+        c = KoszulComplex(1, m, (IntMatrix.identity(m) + b,), (a,))
         for j in range(m):
             unit = [int(i == j) for i in range(m)]
             column = IntMatrix(m, 1, [b[i, j] for i in range(m)])

@@ -229,9 +229,10 @@ def test_homology_of_a_split_action_reduces_each_boundary_once(monkeypatch):
 
 
 def test_homology_path_never_goes_dense(monkeypatch):
-    # from build to cokernel the boundaries stay sparse: no dense product
-    # (the old d o d check) and no densified boundary on the way; a Z^k
-    # action makes no IntMatrix at all, not even its endomorphisms
+    # from validate to cokernel every matrix is read as its {col: value}
+    # rows: nothing writes out dense rows or reads single entries, and
+    # only the blocks that the elimination leaves are written dense, for
+    # _smithify; a torus orbit leaves none
     sk = perf_skeleton(0, 40)
     orbit = torus(30)
     expected = groupoid_homology(sk), homology(to_koszul(orbit))
@@ -239,9 +240,8 @@ def test_homology_path_never_goes_dense(monkeypatch):
     def dense(*args):
         raise AssertionError("the homology path went dense")
 
-    monkeypatch.setattr(exact_linalg.IntMatrix, "__matmul__", dense)
-    monkeypatch.setattr(exact_linalg.SparseMatrix, "dense", dense)
+    monkeypatch.setattr(exact_linalg.IntMatrix, "to_rows", dense)
+    monkeypatch.setattr(exact_linalg.IntMatrix, "__getitem__", dense)
     assert groupoid_homology(sk) == expected[0]
-    monkeypatch.setattr(exact_linalg.IntMatrix, "__init__", dense)
-    monkeypatch.setattr(exact_linalg.IntMatrix, "_wrap", dense)
+    monkeypatch.setattr(exact_linalg, "_smithify", dense)
     assert homology(to_koszul(orbit)) == expected[1]
