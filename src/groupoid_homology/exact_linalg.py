@@ -9,11 +9,11 @@ One Smith reduction, _smithify, serves every caller and carries only
 the transforms its caller reads: none for invariant factors, ranks and
 cokernels, which are all that homology of a complex of free modules
 needs (Munkres, Elements of Algebraic Topology, section 11); the right
-transform V for kernel bases; U and V for snf and solve_columns. snf
-runs a Hermite stage, _hermite, before it: reduced echelon rows keep
-the transforms to hundreds of bits where reducing a directly gives
-thousands. Matrices cache nothing, so solve_columns reduces its matrix
-on every call.
+transform V for kernel bases; U and V for snf and solve_columns.
+cokernel's cores and snf reach it by one route, through _hermite's
+echelon rows of full row rank; _hermite keeps no transform, so snf
+appends identity columns that ride along as W. Matrices cache nothing,
+so solve_columns reduces its matrix on every call.
 
 Storage is plain Python: an IntMatrix keeps the {col: value} dicts of
 the nonzeros of its rows, plus its column count, so vertex matrices,
@@ -28,10 +28,10 @@ cokernel is the one reduction on the homology path. _eliminate first
 takes out pivots that divide their row and column, on the dict rows,
 and hands back the rows it leaves; those are split into the connected
 blocks of their support, and only each block is written dense, with
-its wide side as rows, for _smithify. The boundaries of a torus orbit
-and of a single vertex with every count 3 leave no block at all.
-invariant_factors, snf, kernel_basis, solve_columns and det reduce the
-whole matrix written dense, which keeps them a reference for cokernel.
+its wide side as rows, for _hermite and then _smithify. The boundaries
+of a torus orbit and of a single vertex with every count 3 leave no
+block at all. invariant_factors, kernel_basis and det reduce the whole
+matrix written dense: they stay the plain references for cokernel.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ class IntMatrix:
 class EntryGrowthStats:
     """Peak entry bit-length observed inside integer reductions.
 
-    Each diagonal reduction and each elimination of cokernel is recorded
-    as [rows, cols, input_bits, peak_bits] so growth can be judged
-    against what that reduction was actually given, not against the
-    first matrix in a pipeline.
+    Each elimination of cokernel, each Hermite stage and each Smith
+    reduction is recorded as [rows, cols, input_bits, peak_bits], so
+    growth is judged against what that stage was given, not against
+    the first matrix in a pipeline.
     transform_bits is the bit length of the largest entry of any U or V
     that snf returned.
     """
@@ -438,30 +438,27 @@ def _smithify(A: list[list[int]], cols: int, want_u: bool, want_v: bool):
     return diag, U, Vt
 
 
-def _hermite(a: IntMatrix):
-    """Row echelon form H of a with W @ a = H; return (H rows, W rows).
+def _hermite(rows, n: int):
+    """Echelon form of dense rows, pivoting in columns < n; return (H, kernel tails).
 
-    The rows of a are inserted one at a time into a basis of echelon
-    rows (Kannan and Bachem, SIAM J. Comput. 8, 1979). Each row carries
-    its row of W on its right, so one row operation updates both. An
-    incoming row whose leading column already holds a pivot p loses its
-    leading entry x: by the exact quotient x/p when p divides x, else by
-    the unimodular 2x2 step that turns the pair into one row led by
-    g = gcd(p, x) and one led by 0. A row that runs out of entries is a
-    left-kernel row of W. After each insertion every entry above a
-    pivot is reduced into [0, pivot), which keeps the entries of H and
-    W small. H holds the nonzero rows in pivot-column order, and W their
-    transforms followed by the kernel rows, so W is unimodular.
+    Rows are inserted one at a time into a basis of echelon rows
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979). An incoming row whose
+    leading column already holds a pivot p loses its leading entry x: by
+    the exact quotient x/p when p divides x, else by the unimodular 2x2
+    step that turns the pair into one row led by g = gcd(p, x) and one
+    led by 0. A row with nothing left before column n is a kernel row,
+    of which only the tail from n on is kept. After each insertion every
+    entry above a pivot is reduced into [0, pivot), which keeps entries
+    small. H holds the nonzero rows whole, in pivot-column order, so it
+    has full row rank. Columns from n on only ride along: [a | I] gives
+    H = [h | W] with W @ a = h; W's rows, then the tails, form a unimodular matrix.
     """
-    m, n = a.rows, a.cols
-    rows = a.to_rows()
     stats = _TRACK.get()
     if stats is not None:
-        stats.begin_reduction(m, n, _max_abs(rows))
-    basis = {}  # pivot column -> row of [H | W]
+        stats.begin_reduction(len(rows), n, _max_abs(row[:n] for row in rows))
+    basis = {}  # pivot column -> echelon row
     kernel = []
-    for i, row in enumerate(rows):
-        h = [*row, *[0] * i, 1, *[0] * (m - i - 1)]
+    for h in rows:
         c = 0
         while True:
             c = next((j for j in range(c, n) if h[j]), None)
@@ -490,8 +487,7 @@ def _hermite(a: IntMatrix):
                     basis[above] = _minus_multiple(basis[above], q, top)
         if stats is not None:
             stats.note_int(_max_abs(basis.values()))
-    rows = [basis[c] for c in sorted(basis)]
-    return [h[:n] for h in rows], [h[n:] for h in rows] + kernel
+    return [basis[c] for c in sorted(basis)], kernel
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -501,17 +497,18 @@ def snf(a: IntMatrix) -> SnfResult:
     |det v| = 1, every d_i >= 0, and each nonzero d_i divides d_{i+1}.
     The reduction is deterministic, so equal inputs give equal outputs.
 
-    Two stages: _hermite gives H = W @ a, then _smithify reduces the
-    nonzero rows of H to U2 @ H @ v = diagonal, and u = U2 @ W on those
-    rows. d is what _smithify(a) gives, since Smith forms are unique.
+    Two stages: _hermite takes the rows [a | I] to [H | W] plus kernel
+    tails, so W @ a = H; _smithify gives U2 @ H @ v diagonal, and u is
+    U2 @ W above the tails. Smith forms are unique, so d is _smithify(a)'s.
     """
-    H, W = _hermite(a)
+    n = a.cols
+    H, kernel = _hermite([x + e for x, e in zip(a.to_rows(), _identity_rows(a.rows))], n)
     r = len(H)
-    diag, U, Vt = _smithify(H, a.cols, True, True)
-    W = IntMatrix.from_rows(W, cols=a.rows)
+    diag, U, Vt = _smithify([h[:n] for h in H], n, True, True)
+    W = IntMatrix.from_rows([h[n:] for h in H] + kernel, cols=a.rows)
     top = IntMatrix.from_rows(U, cols=r) @ IntMatrix._wrap(W.data[:r], a.rows)
     u = IntMatrix._wrap(top.data + W.data[r:], a.rows)
-    v = IntMatrix.from_rows(Vt, cols=a.cols).transpose()
+    v = IntMatrix.from_rows(Vt, cols=n).transpose()
     stats = _TRACK.get()
     if stats is not None:
         stats.transform_bits = max(stats.transform_bits, u.max_bit_length(),
@@ -658,11 +655,12 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
     split into the connected blocks of their support (_blocks): up to
     row and column order they are block diagonal, so their cokernel is
     the direct sum of the blocks' cokernels and a Z per empty row. Each
-    block is written dense with its wide side as rows and handed to
-    _smithify as it is, since a matrix and its transpose have the same
-    invariant factors and _smithify does one row operation per row per
-    clearing pass. from_orders renormalizes the torsion of all pivots
-    and blocks (Z_2 from one block and Z_3 from another give Z_6).
+    block is written dense with its wide side as rows (a matrix and its
+    transpose have the same invariant factors, and fewer rows mean
+    fewer insertions into _hermite's echelon basis); _smithify reduces
+    the rows of full row rank that _hermite gives, so no order is zero.
+    from_orders renormalizes the torsion of all pivots and blocks (Z_2
+    from one block and Z_3 from another give Z_6).
     """
     orders, rows = _eliminate(a)
     for ri, cj in _blocks(rows):
@@ -670,9 +668,9 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
             block = [[rows[i].get(j, 0) for i in ri] for j in cj]
         else:
             block = [[rows[i].get(j, 0) for j in cj] for i in ri]
-        orders += _smithify(block, len(block[0]), False, False)[0]
-    r = sum(1 for x in orders if x)
-    return FgAbGroup.from_orders(a.rows - r, [x for x in orders if x > 1])
+        n = len(block[0])
+        orders += _smithify(_hermite(block, n)[0], n, False, False)[0]
+    return FgAbGroup.from_orders(a.rows - len(orders), [x for x in orders if x > 1])
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -25,7 +25,7 @@ from math import comb, prod
 
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints
 from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
-from .exact_linalg import IntMatrix, cokernel, invariant_factors
+from .exact_linalg import IntMatrix, cokernel
 # unused here, but perfbench/tracing.py wraps these two at this module by name
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
@@ -196,11 +196,12 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     all of the given cycles. The degree is explicit because different
     degrees can share the same chain rank.
 
-    Membership is decided without transforms: the span of A is contained
-    in the span of [A | B], and the two are equal exactly when they have
-    equal rank and equal products of nonzero invariant factors. Equal
-    ranks give both lattices the same saturation, and that product is
-    the index of a lattice in its saturation.
+    Membership is decided without transforms, by two cokernels: the
+    span of A is contained in the span of [A | B], and the two are equal
+    exactly when they have equal rank and equal products of nonzero
+    invariant factors. Equal ranks give both lattices the same
+    saturation, and that product is the index of a lattice in its
+    saturation.
     """
     p = _exact_ints([degree])[0]
     if not 0 <= p <= c.k:
@@ -222,6 +223,7 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
 
 
 def _span_index(a: IntMatrix) -> tuple[int, int]:
-    """Rank of the column span, and its index in its saturation."""
-    nonzero = [x for x in invariant_factors(a) if x]
-    return len(nonzero), prod(nonzero)
+    """Rank of the column span, and its index in its saturation: rows
+    less the free rank of the cokernel, and the product of its torsion."""
+    g = cokernel(a)
+    return a.rows - g.free_rank, prod(g.torsion)

@@ -480,8 +480,10 @@ def test_eliminating_cokernel_matches_the_whole_matrix_reduction(kind):
 
 
 def test_cokernel_without_a_divisible_pivot_reduces_every_block():
-    # gcd 1 with no unit entry, or a row gcd that no entry equals
-    no_pivot = ([[2, 3], [3, 2]], [[6, 10, 15]], [[6], [10], [15]], [[4, 6], [6, 4]])
+    # gcd 1 with no unit entry, or a row gcd that no entry equals; the
+    # last two are rank deficient, so Hermite meets a kernel row
+    no_pivot = ([[2, 3], [3, 2]], [[6, 10, 15]], [[6], [10], [15]], [[4, 6], [6, 4]],
+                [[2, 3], [4, 6]], [[6, 10, 15], [12, 20, 30]])
     rng = random.Random("cokernel-no-pivot")
     for _ in range(40):
         blocks = [rng.choice(no_pivot) for _ in range(rng.randint(1, 4))]
@@ -595,13 +597,14 @@ def test_split_cokernel_renormalizes_torsion_across_blocks():
         c = cokernel(a)
     assert c == FgAbGroup(1, (6,))
     assert stats.reductions == [[3, 3, 2, 2]]
-    # two blocks with no divisible pivot, Z_5 and Z_7: Z_35, one
-    # reduction each after the elimination
+    # two blocks with no divisible pivot, Z_5 and Z_7: Z_35, a Hermite
+    # and then a Smith reduction each after the elimination
     a = IntMatrix.from_rows([[2, 3, 0, 0], [0, 0, 3, 4], [3, 2, 0, 0], [0, 0, 4, 3]])
     with track_entry_growth() as stats:
         c = cokernel(a)
     assert c == FgAbGroup(0, (35,))
-    assert stats.reductions == [[4, 4, 3, 3], [2, 2, 2, 3], [2, 2, 3, 3]]
+    assert stats.reductions == [[4, 4, 3, 3], [2, 2, 2, 3], [2, 2, 3, 3],
+                                [2, 2, 3, 3], [2, 2, 3, 3]]
 
 
 # --- integer solving ------------------------------------------------------
@@ -692,9 +695,11 @@ def test_growth_tracker_records_reductions():
 
 def test_growth_records_of_the_perf_skeleton_are_pinned():
     # [rows, cols, input bits, peak bits] of each boundary's elimination,
-    # then of its core, reduced with the wide side as rows
+    # then of its core's Hermite stage, with the wide side as rows, then
+    # of the Smith stage on the Hermite rows
     with track_entry_growth() as stats:
         groupoid_homology(perf_skeleton(0, 40))
-    assert stats.reductions == [[40, 80, 4, 31], [16, 56, 31, 77],
-                                [80, 40, 4, 35], [16, 56, 35, 78], [40, 0, 0, 0]]
-    assert stats.peak_bits == 78
+    assert stats.reductions == [[40, 80, 4, 31], [16, 56, 31, 146], [16, 56, 125, 125],
+                                [80, 40, 4, 35], [16, 56, 35, 154], [16, 56, 125, 127],
+                                [40, 0, 0, 0]]
+    assert stats.peak_bits == 154
