@@ -353,6 +353,11 @@ def run_all(seed: int, cases: dict | None = None) -> list[NetResult]:
 # ---------------------------------------------------------------------------
 # performance workload
 
+# acceptance criterion 10: homology time and worst per-reduction growth
+TIME_BUDGET_S = 60.0
+RATIO_BUDGET = 64
+
+
 class PerfReport:
     """Timing and entry-growth summary for the reference workload.
 
@@ -361,19 +366,15 @@ class PerfReport:
     strategy actually controls.
     """
 
-    __slots__ = ("vertices", "k", "elapsed_s", "peak_bits", "worst", "time_budget_s",
-                 "ratio_budget")
+    __slots__ = ("vertices", "k", "elapsed_s", "peak_bits", "worst")
 
     def __init__(self, vertices: int, k: int, elapsed_s: float, peak_bits: int,
-                 worst: tuple[int, int, int, int] | None, time_budget_s: float = 60.0,
-                 ratio_budget: int = 64):
+                 worst: tuple[int, int, int, int] | None):
         self.vertices = vertices
         self.k = k
         self.elapsed_s = elapsed_s
         self.peak_bits = peak_bits
         self.worst = worst
-        self.time_budget_s = time_budget_s
-        self.ratio_budget = ratio_budget
 
     @property
     def ratio(self) -> float:
@@ -383,7 +384,7 @@ class PerfReport:
 
     @property
     def ok(self) -> bool:
-        return self.elapsed_s < self.time_budget_s and self.ratio < self.ratio_budget
+        return self.elapsed_s < TIME_BUDGET_S and self.ratio < RATIO_BUDGET
 
     def lines(self) -> list[str]:
         if self.worst is None:
@@ -391,11 +392,11 @@ class PerfReport:
         else:
             rows, cols, inp, peak = self.worst
             growth = (f"perf: worst reduction growth {self.ratio:.1f}x "
-                      f"(budget {self.ratio_budget}x): {rows}x{cols} matrix, "
+                      f"(budget {RATIO_BUDGET}x): {rows}x{cols} matrix, "
                       f"input {inp} bits, peak {peak} bits")
         return [
             f"perf: rank-{self.k} skeleton on {self.vertices} vertices",
-            f"perf: homology in {self.elapsed_s:.2f} s (budget {self.time_budget_s:.0f} s)",
+            f"perf: homology in {self.elapsed_s:.2f} s (budget {TIME_BUDGET_S:.0f} s)",
             f"perf: peak entry bits {self.peak_bits}",
             growth,
             f"perf: {'PASS' if self.ok else 'FAIL'}",

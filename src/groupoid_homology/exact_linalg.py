@@ -5,24 +5,22 @@ normal form with unimodular transforms, kernel and cokernel of integer
 maps, and columnwise integer solving. No floating point is used at any
 point; every result is exact.
 
-One Smith reduction, _smithify, serves every caller and carries only
-the transforms its caller reads: none for invariant factors, ranks and
-cokernels, which are all that homology of a complex of free modules
-needs (Munkres, Elements of Algebraic Topology, section 11); the right
-transform V for kernel bases; U and V for snf and solve_columns.
-cokernel's cores and snf reach it by one route, through _hermite's
-echelon rows of full row rank; _hermite keeps no transform, so snf
-appends identity columns that ride along as W. Matrices cache nothing,
-so solve_columns reduces its matrix on every call.
+One Smith reduction, _smithify, serves every caller. Like _hermite it
+reduces a top-left block while appended rows and columns ride along, so
+a caller gets a transform only by appending it: nothing for invariant
+factors, ranks and cokernels, which are all that homology of a complex
+of free modules needs (Munkres, Elements of Algebraic Topology, section
+11); identity rows below for kernel bases; both for snf. cokernel's
+cores and snf reach it by one route, through _hermite's echelon rows of
+full row rank. Matrices cache nothing, so solve_columns reduces its
+matrix on every call.
 
 Storage is plain Python: an IntMatrix keeps the {col: value} dicts of
 the nonzeros of its rows, plus its column count, so vertex matrices,
 Koszul endomorphisms and boundaries are all one type. Its product goes
 row by row and costs about the nonzeros of the left factor times those
 of a row of the right one. The reductions copy their input out as
-dense row lists, with every row operation one map over a row;
-_smithify keeps V transposed, so column operations on V are row
-operations too.
+dense row lists, with every row operation one map over a row.
 
 cokernel is the one reduction on the homology path. _eliminate first
 takes out pivots that divide their row and column, on the dict rows,
@@ -92,6 +90,7 @@ class IntMatrix:
 
     def __init__(self, rows: int, cols: int, entries):
         flat = _exact_ints(entries)
+        rows, cols = _exact_ints((rows, cols))
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"bad shape ({rows}, {cols})")
         if len(flat) != rows * cols:
@@ -129,10 +128,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        (n,) = _exact_ints((n,))
         return cls._wrap(({i: 1} for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        rows, cols = _exact_ints((rows, cols))
         return cls._wrap(({} for _ in range(rows)), cols)
 
     @property
@@ -332,17 +333,19 @@ class SnfResult(namedtuple("SnfResult", "d u v rank")):
     __slots__ = ()
 
 
-def _pick_pivot(A, stats):
-    """Position of the least nonzero |entry| in the block A, ties by (row, col).
+def _pick_pivot(A, h, w, stats):
+    """Position of the least nonzero |entry| in the top-left h x w block
+    of the rows A, ties by (row, col).
 
     The search stops at the first row holding a +-1, since nothing is
     smaller. The block maximum that growth tracking samples is taken in
     a pass of its own, so stopping early never changes the records.
     """
+    block = [row[:w] for row in A[:h]]
     if stats is not None:
-        stats.note_int(_max_abs(A))
+        stats.note_int(_max_abs(block))
     least, at = 0, None
-    for i, row in enumerate(A):
+    for i, row in enumerate(block):
         m = min(map(abs, filter(None, row)), default=0)
         if m and (m < least or not least):
             least, at = m, i
@@ -350,13 +353,19 @@ def _pick_pivot(A, stats):
                 break
     if at is None:
         return None
-    row = A[at]
+    row = block[at]
     return at, min(row.index(x) for x in (least, -least) if x in row)
 
 
-def _smithify(A: list[list[int]], cols: int, want_u: bool, want_v: bool):
-    """Reduce the dense rows A, cols wide, to Smith form; return
-    (diagonal, U, V^t) as row lists. A is overwritten.
+def _smithify(A: list[list[int]], m: int, n: int):
+    """Reduce the top-left m x n block of the dense rows A to Smith form;
+    return (diagonal, U tails, V rows). A is overwritten.
+
+    Rows from m on and columns from n on ride along: row operations act
+    on whole rows among the first m, column operations on whole columns
+    < n. So [a | I] over [I | 0] carries U right of a and V below it
+    (rows from m on may stop at column n). The U tails are the pivot
+    rows from column n on, in pivot order; the V rows are those from m on.
 
     Pivoting: the nonzero entry of least absolute value in the remaining
     block, ties broken by lowest (row, col). Each clearing pass uses
@@ -366,76 +375,64 @@ def _smithify(A: list[list[int]], cols: int, want_u: bool, want_v: bool):
     row pass reads only row t and never writes it, and the column pass
     likewise for column t, so clearing order does not matter. Before a
     pivot is frozen it is forced to divide every entry of the remaining
-    block, which yields the divisibility chain. A frozen pivot's row and
-    column are zero apart from the pivot, so the working block A is the
-    trailing (rows - t) x (cols - t) block at step t.
+    block, which yields the divisibility chain. A frozen pivot's U tail
+    and V column are saved, and its row and column dropped, so the
+    working block is the top-left h x w = (m - t) x (n - t) at step t.
     """
-    nrows = len(A)
-    U = _identity_rows(nrows) if want_u else None
-    Vt = _identity_rows(cols) if want_v else None
     stats = _TRACK.get()
     if stats is not None:
-        stats.begin_reduction(nrows, cols, _max_abs(A))
-    limit = min(nrows, cols)
-    diag = []
+        stats.begin_reduction(m, n, _max_abs(row[:n] for row in A[:m]))
+    limit = min(m, n)
+    diag, tails, vcols = [], [], []
     for t in range(limit):
-        pos = _pick_pivot(A, stats)
+        h, w = m - t, n - t
+        pos = _pick_pivot(A, h, w, stats)
         if pos is None:
             break
         while True:
             i, j = pos
             if i:
                 A[0], A[i] = A[i], A[0]
-                if want_u:
-                    U[t], U[t + i] = U[t + i], U[t]
             if j:
                 for row in A:
                     row[0], row[j] = row[j], row[0]
-                if want_v:
-                    Vt[t], Vt[t + j] = Vt[t + j], Vt[t]
             top = A[0]
             if top[0] < 0:
                 A[0] = top = [-x for x in top]
-                if want_u:
-                    U[t] = [-x for x in U[t]]
             p = top[0]
-            h = p >> 1
-            # row pass: q_r times row t off each row r > t
-            qs = [(row[0] + h) // p for row in A]
+            half = p >> 1
+            # row pass: q_r times row t off each row t < r < m
+            qs = [(row[0] + half) // p for row in A[:h]]
             qs[0] = 0
             if any(qs):
-                A = [_minus_multiple(row, q, top) if q else row for row, q in zip(A, qs)]
-                if want_u:
-                    U[t:] = [_minus_multiple(row, q, U[t]) if q else row
-                             for row, q in zip(U[t:], qs)]
-            # column pass: q_j times column t off each column j > t
-            qs = [(x + h) // p for x in A[0]]
+                A[:h] = [_minus_multiple(row, q, top) if q else row for row, q in zip(A, qs)]
+            # column pass: q_j times column t off each column t < j < n
+            qs = [(x + half) // p for x in top[:w]]
             qs[0] = 0
             if any(qs):
+                qs += [0] * (len(top) - w)  # so map keeps the tails from n on
                 A = [_minus_multiple(row, row[0], qs) if row[0] else row for row in A]
-                if want_v:
-                    Vt[t:] = [_minus_multiple(row, q, Vt[t]) if q else row
-                              for row, q in zip(Vt[t:], qs)]
-            if any(A[0][1:]) or any(row[0] for row in A[1:]):
-                pos = _pick_pivot(A, stats)
+            if any(A[0][1:w]) or any(row[0] for row in A[1:h]):
+                pos = _pick_pivot(A, h, w, stats)
                 continue
             if p == 1:  # divides everything; skips an O(n^2) test per pivot
                 break
-            off = next((r for r in range(1, len(A)) if any(x % p for x in A[r])), None)
+            off = next((r for r in range(1, h) if any(x % p for x in A[r][:w])), None)
             if off is None:
                 break
             # Fold the first offending row into the pivot row; the next
             # clearing pass leaves a remainder strictly smaller than p.
             A[0] = list(map(add, A[0], A[off]))
-            if want_u:
-                U[t] = list(map(add, U[t], U[t + off]))
-            pos = _pick_pivot(A, stats)
+            pos = _pick_pivot(A, h, w, stats)
         diag.append(p)
+        tails.append(A[0][w:])
+        vcols.append([row[0] for row in A[h:]])
         A = [row[1:] for row in A[1:]]
+    V = [[col[k] for col in vcols] + row for k, row in enumerate(A[m - len(diag):])]
     diag += [0] * (limit - len(diag))
     if stats is not None and diag:
         stats.note_int(max(diag))
-    return diag, U, Vt
+    return diag, tails, V
 
 
 def _hermite(rows, n: int):
@@ -498,17 +495,17 @@ def snf(a: IntMatrix) -> SnfResult:
     The reduction is deterministic, so equal inputs give equal outputs.
 
     Two stages: _hermite takes the rows [a | I] to [H | W] plus kernel
-    tails, so W @ a = H; _smithify gives U2 @ H @ v diagonal, and u is
-    U2 @ W above the tails. Smith forms are unique, so d is _smithify(a)'s.
+    tails, so W @ a = H; _smithify then reduces [H | W] over [I | 0], so
+    its U tails are U2 @ W for U2 @ H @ v diagonal, and v comes out below.
+    u is those tails above the kernel tails. Smith forms are unique, so d
+    is _smithify(a)'s.
     """
     n = a.cols
     H, kernel = _hermite([x + e for x, e in zip(a.to_rows(), _identity_rows(a.rows))], n)
     r = len(H)
-    diag, U, Vt = _smithify([h[:n] for h in H], n, True, True)
-    W = IntMatrix.from_rows([h[n:] for h in H] + kernel, cols=a.rows)
-    top = IntMatrix.from_rows(U, cols=r) @ IntMatrix._wrap(W.data[:r], a.rows)
-    u = IntMatrix._wrap(top.data + W.data[r:], a.rows)
-    v = IntMatrix.from_rows(Vt, cols=n).transpose()
+    diag, U, V = _smithify(H + _identity_rows(n), r, n)
+    u = IntMatrix.from_rows(U + kernel, cols=a.rows)
+    v = IntMatrix.from_rows(V, cols=n)
     stats = _TRACK.get()
     if stats is not None:
         stats.transform_bits = max(stats.transform_bits, u.max_bit_length(),
@@ -519,8 +516,7 @@ def snf(a: IntMatrix) -> SnfResult:
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form only (no transforms; faster)."""
-    diag, _, _ = _smithify(a.to_rows(), a.cols, False, False)
-    return tuple(diag)
+    return tuple(_smithify(a.to_rows(), a.rows, a.cols)[0])
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -529,17 +525,17 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     The result has a.cols rows; its columns are a basis, and every
     integer kernel vector is an integer combination of them (the columns
     extend to a basis of Z^cols, so no saturation step is needed). They
-    are the columns of the unimodular right transform of the diagonal
-    reduction that sit over zero diagonal entries: with u @ a @ v
-    diagonal of rank r, a @ v has zero columns from r on, and v being
-    invertible over Z makes those columns a basis of the whole kernel.
+    are the columns over zero diagonal entries of the unimodular v that
+    _smithify carries below a, given a over I: with u @ a @ v diagonal
+    of rank r, a @ v has zero columns from r on, and v being invertible
+    over Z makes those columns a basis of the whole kernel.
 
     Homology does not need this: its kernel ranks are cols - rank. This
     is a utility for callers that want explicit cycles.
     """
-    diag, _, Vt = _smithify(a.to_rows(), a.cols, False, True)
+    diag, _, V = _smithify(a.to_rows() + _identity_rows(a.cols), a.rows, a.cols)
     r = sum(1 for x in diag if x)
-    return IntMatrix.from_rows(Vt[r:], cols=a.cols).transpose()
+    return IntMatrix.from_rows([row[r:] for row in V], cols=a.cols - r)
 
 
 def _blocks(rows) -> list[tuple[list[int], list[int]]]:
@@ -668,8 +664,8 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
             block = [[rows[i].get(j, 0) for i in ri] for j in cj]
         else:
             block = [[rows[i].get(j, 0) for j in cj] for i in ri]
-        n = len(block[0])
-        orders += _smithify(_hermite(block, n)[0], n, False, False)[0]
+        H = _hermite(block, len(block[0]))[0]
+        orders += _smithify(H, len(H), len(block[0]))[0]
     return FgAbGroup.from_orders(a.rows - len(orders), [x for x in orders if x > 1])
 
 

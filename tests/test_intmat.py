@@ -287,6 +287,22 @@ def test_snf_of_low_rank_products_keeps_their_built_in_factors():
         assert r.rank <= 2 and all(x % 2 == 0 for x in r.d)
 
 
+def test_snf_makes_no_matrix_product(monkeypatch):
+    # the Hermite rows [H | W] ride through the Smith reduction whole, so
+    # u comes out of it directly and no U2 is multiplied by W
+    a = IntMatrix.from_rows([[2, 4, 6, 8], [1, 3, 5, 7], [3, 7, 11, 15]])
+
+    def no_product(*args):
+        raise AssertionError("snf multiplied two matrices")
+
+    with monkeypatch.context() as m:
+        m.setattr(IntMatrix, "__matmul__", no_product)
+        r = snf(a)
+    assert r.d == (1, 2, 0) and r.rank == 2
+    assert r.u @ a @ r.v == _diag_matrix(r.d, 3, 4)
+    assert is_unimodular(r.u) and is_unimodular(r.v)
+
+
 def test_snf_transforms_stay_small_on_the_criterion_08_matrices():
     # the first 100 cases of criterion 08 peak at 746 bits (U) and 328
     # (V); reducing the matrices directly gave U up to 9,933 bits

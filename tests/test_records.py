@@ -6,7 +6,7 @@ errors (type and text), and fresh lists in the mutable records."""
 import pytest
 
 from groupoid_homology.abelian import Z, FgAbGroup, HomologyProfile
-from groupoid_homology.checks import NetResult, PerfReport
+from groupoid_homology.checks import RATIO_BUDGET, TIME_BUDGET_S, NetResult, PerfReport
 from groupoid_homology.dr_finite import ZkAction
 from groupoid_homology.errors import DimensionMismatch
 from groupoid_homology.exact_linalg import EntryGrowthStats, IntMatrix, SnfResult, snf
@@ -131,6 +131,18 @@ def test_constructors_normalise():
      "a skeleton needs at least one vertex matrix"),
     (lambda: KGraphSkeleton(("v", "w"), (TWO, ONE)), DimensionMismatch,
      "matrices[1] has shape (1, 1), expected (2, 2)"),
+    # a bool shape is refused, not read as 1; explicit ids keep the
+    # FgAbGroup case's id above free of a numeric suffix
+    pytest.param(lambda: IntMatrix(2, True, [1, 2]), TypeError,
+                 "expected integers, got a bool", id="IntMatrix-bool-cols"),
+    pytest.param(lambda: IntMatrix(True, 2, [1, 2]), TypeError,
+                 "expected integers, got a bool", id="IntMatrix-bool-rows"),
+    pytest.param(lambda: IntMatrix.zeros(True, 2), TypeError,
+                 "expected integers, got a bool", id="zeros-bool-rows"),
+    pytest.param(lambda: IntMatrix.zeros(2, True), TypeError,
+                 "expected integers, got a bool", id="zeros-bool-cols"),
+    pytest.param(lambda: IntMatrix.identity(True), TypeError,
+                 "expected integers, got a bool", id="identity-bool"),
 ])
 def test_constructor_errors_keep_type_and_text(make, exc, text):
     with pytest.raises(exc) as info:
@@ -167,11 +179,12 @@ def test_net_result_defaults_and_fresh_lists():
 
 
 def test_perf_report_defaults():
+    assert (TIME_BUDGET_S, RATIO_BUDGET) == (60.0, 64)
     r = PerfReport(vertices=4, k=2, elapsed_s=0.5, peak_bits=9, worst=(2, 2, 3, 9))
-    assert (r.time_budget_s, r.ratio_budget) == (60.0, 64)
-    assert r.ratio == 3.0 and r.ok
+    assert r.ratio == 3.0 and r.ok and r.lines()[4] == "perf: PASS"
     r.elapsed_s = 61.0
-    assert not r.ok
-    s = PerfReport(4, 2, 0.5, 9, None, 1.0, 2)
-    assert (s.time_budget_s, s.ratio_budget, s.ratio) == (1.0, 2, 0.0)
+    assert not r.ok and r.lines()[4] == "perf: FAIL"
+    assert r.lines()[1] == "perf: homology in 61.00 s (budget 60 s)"
+    s = PerfReport(4, 2, 0.5, 9, None)
+    assert s.ratio == 0.0 and s.ok
     assert s.lines()[3] == "perf: no reductions recorded"
