@@ -101,11 +101,6 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
     def free(cls, rank: int) -> "FgAbGroup":
         return cls(rank, ())
 
-    @classmethod
-    def cyclic(cls, order: int) -> "FgAbGroup":
-        """Z_order for order >= 2, the trivial group for order 1."""
-        return cls.from_orders(0, (order,))
-
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

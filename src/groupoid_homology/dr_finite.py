@@ -20,25 +20,20 @@ from .exact_linalg import IntMatrix
 from .koszul import KoszulComplex, build, homology
 
 
-def _parsed_ints(values) -> list[int]:
-    """values as ints: numeric strings are parsed, anything else must be
-    an integer, so floats and bools raise TypeError instead of truncating."""
-    return _exact_ints(int(v) if isinstance(v, str) else v for v in values)
-
-
 class ZkAction(namedtuple("ZkAction", "points perms")):
     """k self-maps of {0, .., points-1}, intended to commute and be bijective.
 
-    Construction only checks shapes and ranges; bijectivity and
-    commutativity are semantic findings reported by validate_action and
-    enforced by to_koszul.
+    Construction only checks shapes, ranges and that every value is an
+    int, refusing strings, floats and bools as IntMatrix does;
+    bijectivity and commutativity are semantic findings reported by
+    validate_action and enforced by to_koszul.
     """
 
     __slots__ = ()
 
     def __new__(cls, points: int, perms):
-        points = _parsed_ints([points])[0]
-        perms = tuple(tuple(_parsed_ints(p)) for p in perms)
+        (points,) = _exact_ints((points,))
+        perms = tuple(tuple(_exact_ints(p)) for p in perms)
         if points < 0:
             raise DimensionMismatch(f"negative point count {points}")
         for i, p in enumerate(perms):

@@ -77,6 +77,15 @@ def _max_abs(rows) -> int:
     return max((max(map(abs, row), default=0) for row in rows), default=0)
 
 
+def _shape(rows, cols) -> list[int]:
+    """rows and cols as exact ints, each at least 0: the one shape rule of
+    IntMatrix and its factories."""
+    rows, cols = shape = _exact_ints((rows, cols))
+    if rows < 0 or cols < 0:
+        raise DimensionMismatch(f"bad shape ({rows}, {cols})")
+    return shape
+
+
 class IntMatrix:
     """An immutable matrix of arbitrary-precision integers.
 
@@ -90,9 +99,7 @@ class IntMatrix:
 
     def __init__(self, rows: int, cols: int, entries):
         flat = _exact_ints(entries)
-        rows, cols = _exact_ints((rows, cols))
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch(f"bad shape ({rows}, {cols})")
+        rows, cols = _shape(rows, cols)
         if len(flat) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
@@ -128,12 +135,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        (n,) = _exact_ints((n,))
+        n, _ = _shape(n, n)
         return cls._wrap(({i: 1} for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        rows, cols = _exact_ints((rows, cols))
+        rows, cols = _shape(rows, cols)
         return cls._wrap(({} for _ in range(rows)), cols)
 
     @property

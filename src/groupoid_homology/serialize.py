@@ -109,11 +109,11 @@ def _parse_zk_action(obj: dict) -> ZkAction:
         raise SchemaError(
             f"permutations: expected {k} permutations for k={k}, got {len(perms)}"
         )
-    # one pass through ZkAction when every image list has the right
-    # length and no string, which ZkAction would parse; on any fault the
-    # scan below finds the first one in reading order for its message
-    if all(type(p) is list and len(p) == points and str not in map(type, p)
-           for p in perms):
+    # ZkAction refuses every image that is not an int in range and every
+    # image list of the wrong length; on a fault the scan below names the
+    # first one in reading order. With no points an empty object or
+    # string would pass as an empty image list, so only the scan reads it.
+    if points:
         try:
             return ZkAction(points, perms)
         except (TypeError, DimensionMismatch):
@@ -129,7 +129,7 @@ def _parse_zk_action(obj: dict) -> ZkAction:
                 raise SchemaError(
                     f"permutations[{i}][{j}]: value {v} outside 0..{points - 1}"
                 )
-    raise AssertionError("ZkAction refused images that the scan accepts")
+    return ZkAction(points, perms)
 
 
 def parse_instance(obj) -> KGraphSkeleton | ZkAction:

@@ -140,6 +140,60 @@ def test_product_output_reparses_and_matches_composition(capsys, tmp_path):
     assert composed[1] == {"rank": 0, "torsion": [2, 2, 2, 2]}
 
 
+def test_product_prints_the_instance_it_would_write(capsys, tmp_path):
+    a = write(tmp_path, "a.json", TWO_VERTEX)
+    b = write(tmp_path, "b.json", RANK2)
+    out_path = tmp_path / "prod.json"
+    rc, _, _ = run(capsys, ["product", a, b, "-o", str(out_path)])
+    assert rc == 0
+    rc, out, err = run(capsys, ["product", a, b])
+    assert rc == 0 and err == ""
+    assert out == out_path.read_text(encoding="utf-8")
+
+
+def test_cubical_as_json_and_text(capsys, tmp_path):
+    path = write(tmp_path, "g.json", TWO_VERTEX)
+    rc, out, _ = run(capsys, ["cubical", path])
+    assert rc == 0
+    assert json.loads(out) == {
+        "k": 1,
+        "homology": [{"rank": 1, "torsion": []}, {"rank": 11, "torsion": []}],
+        "notes": ["underlying directed graph: 2 vertices, 12 edges"],
+    }
+    rc, out, _ = run(capsys, ["cubical", path, "--text"])
+    assert rc == 0
+    assert out.splitlines() == [
+        "k = 1", "H_0 = Z", "H_1 = Z^11", "notes:",
+        "  - underlying directed graph: 2 vertices, 12 edges",
+    ]
+
+
+def test_validate_text_on_actions(capsys, tmp_path):
+    rc, out, _ = run(capsys, ["validate", write(tmp_path, "a.json", ACTION), "--text"])
+    assert (rc, out) == (0, "zk_action: valid\n")
+    bad = {"kind": "zk_action", "k": 2, "points": 2,
+           "permutations": [[0, 0], [1, 0]]}
+    rc, out, _ = run(capsys, ["validate", write(tmp_path, "b.json", bad), "--text"])
+    assert rc == 1
+    assert out.splitlines() == [
+        "zk_action: invalid",
+        "  - permutations[0] is not a bijection: value 1 is never hit (a self-map "
+        "of a finite set is bijective exactly when it is surjective)",
+    ]
+
+
+def test_homology_notes_sources_on_a_relaxed_skeleton(capsys, tmp_path):
+    relaxed = {"kind": "kgraph", "k": 1, "vertices": ["v", "w"],
+               "matrices": [[1, 1, 0, 0]], "allow_sources": True}
+    rc, out, _ = run(capsys, ["homology", write(tmp_path, "g.json", relaxed)])
+    assert rc == 0
+    assert json.loads(out)["notes"] == [
+        "rank-1 vertex-matrix complex on 2 vertices",
+        "warning: sources present (some vertex emits no edge in some "
+        "coordinate); structural results assume none",
+    ]
+
+
 # --- exit codes --------------------------------------------------------------
 
 def test_missing_file_is_a_schema_failure(capsys, tmp_path):
@@ -223,6 +277,49 @@ def test_bad_permutation_image_is_a_schema_failure(capsys, tmp_path, image, mess
         "type": "SchemaError",
         "message": f"permutations[1][1]: {message}",
     }
+
+
+def test_malformed_edge_list_is_a_schema_failure(capsys):
+    rc, out, err = run(capsys, ["single-vertex", "--edges", "a,b"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "SchemaError",
+        "message": "--edges wants a comma-separated list, got 'a,b'",
+    }
+
+
+ZK = {"kind": "zk_action", "k": 1, "points": 3}
+
+
+@pytest.mark.parametrize("instance, message", [
+    ([TWO_VERTEX], "top level: expected an object, got list"),
+    ({**TWO_VERTEX, "kind": "graph"}, "kind: expected 'kgraph' or 'zk_action', got 'graph'"),
+    ({**TWO_VERTEX, "colors": 1}, "colors: unexpected field in a kgraph instance"),
+    ({**ACTION, "vertices": []}, "vertices: unexpected field in a zk_action instance"),
+    ({**TWO_VERTEX, "vertices": []}, "vertices: need at least one vertex label"),
+    ({**TWO_VERTEX, "vertices": ["v", 7]}, "vertices[1]: expected a string, got 7"),
+    ({**TWO_VERTEX, "matrices": [[5, 2, 2, 3]] * 2},
+     "matrices: expected 1 matrices for k=1, got 2"),
+    ({**TWO_VERTEX, "matrices": [[5, 2, 2]]},
+     "matrices[0]: expected 4 row-major entries for 2 vertices, got 3"),
+    ({**TWO_VERTEX, "matrices": [5]}, "matrices[0]: expected a list, got int"),
+    ({**TWO_VERTEX, "allow_sources": 1}, "allow_sources: expected true or false, got 1"),
+    ({**TWO_VERTEX, "k": -1}, "k: expected an integer >= 1, got -1"),
+    ({**ACTION, "k": -1}, "k: expected an integer >= 0, got -1"),
+    ({**ACTION, "points": -2}, "points: expected an integer >= 0, got -2"),
+    ({**ZK, "permutations": {"0": [1, 2, 0]}}, "permutations: expected a list, got dict"),
+    ({**ZK, "permutations": []}, "permutations: expected 1 permutations for k=1, got 0"),
+    ({**ZK, "permutations": ["120"]}, "permutations[0]: expected a list, got str"),
+    ({**ZK, "permutations": [[1, 2]]}, "permutations[0]: expected 3 images, got 2"),
+    ({**ZK, "permutations": [[1, 2, [0]]]}, "permutations[0][2]: expected an integer, got [0]"),
+    # with no points an empty object or string is still not an image list
+    ({**ZK, "points": 0, "permutations": [{}]}, "permutations[0]: expected a list, got dict"),
+    ({**ZK, "points": 0, "permutations": [""]}, "permutations[0]: expected a list, got str"),
+])
+def test_schema_failures_name_their_field(capsys, tmp_path, instance, message):
+    rc, out, err = run(capsys, ["homology", write(tmp_path, "i.json", instance)])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "SchemaError", "message": message}
 
 
 def test_non_utf8_instance_is_a_schema_failure(capsys, tmp_path):

@@ -102,8 +102,13 @@ def test_constructors_normalise():
     assert g.torsion == (2, 4) and type(g.torsion) is tuple
     p = HomologyProfile([Z], 0, ["a"])
     assert p.groups == (Z,) and p.notes == ("a",)
-    a = ZkAction("3", [[1, 2, "0"]])
+    a = ZkAction(3, [[1, 2, 0]])
     assert a.points == 3 and a.perms == ((1, 2, 0),)
+    # numeric strings are refused, as IntMatrix refuses them
+    with pytest.raises(TypeError):
+        ZkAction("3", [[1, 2, 0]])
+    with pytest.raises(TypeError):
+        ZkAction(3, [[1, 2, "0"]])
     sk = KGraphSkeleton([0, 1], [TWO], allow_sources=1)
     assert sk.vertices == ("0", "1") and sk.matrices == (TWO,)
     assert sk.allow_sources is True
@@ -123,8 +128,9 @@ def test_constructors_normalise():
      "permutation 0 has 2 images for 3 points"),
     (lambda: ZkAction(2, ((1, 0), (0, 2))), DimensionMismatch,
      "permutation 1 maps to 2, outside 0..1"),
-    (lambda: ZkAction(2, (("x", 0),)), ValueError,
-     "invalid literal for int() with base 10: 'x'"),
+    pytest.param(lambda: ZkAction(2, (("x", 0),)), TypeError,
+                 "'str' object cannot be interpreted as an integer",
+                 id="ZkAction-str-image"),
     (lambda: KGraphSkeleton((), (ONE,)), DimensionMismatch,
      "a skeleton needs at least one vertex"),
     (lambda: KGraphSkeleton(("v",), ()), DimensionMismatch,
@@ -143,6 +149,13 @@ def test_constructors_normalise():
                  "expected integers, got a bool", id="zeros-bool-cols"),
     pytest.param(lambda: IntMatrix.identity(True), TypeError,
                  "expected integers, got a bool", id="identity-bool"),
+    # the factories keep the constructor's shape rule
+    pytest.param(lambda: IntMatrix.identity(-1), DimensionMismatch,
+                 "bad shape (-1, -1)", id="identity-negative"),
+    pytest.param(lambda: IntMatrix.zeros(-2, 3), DimensionMismatch,
+                 "bad shape (-2, 3)", id="zeros-negative-rows"),
+    pytest.param(lambda: IntMatrix.zeros(2, -3), DimensionMismatch,
+                 "bad shape (2, -3)", id="zeros-negative-cols"),
 ])
 def test_constructor_errors_keep_type_and_text(make, exc, text):
     with pytest.raises(exc) as info:

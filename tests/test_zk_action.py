@@ -30,8 +30,11 @@ def test_constructor_refuses_non_integral_points_and_images():
         ZkAction(2.0, [[1, 0]])
     with pytest.raises(TypeError):
         ZkAction(2, [[True, 0]])
-    # numeric strings are still parsed
-    assert ZkAction("2", [["1", 0]]).perms == ((1, 0),)
+    # numeric strings are refused, not parsed
+    with pytest.raises(TypeError):
+        ZkAction("2", [[1, 0]])
+    with pytest.raises(TypeError):
+        ZkAction(2, [["1", 0]])
 
 
 def perm_power(p, e):
