@@ -83,7 +83,7 @@ def _perm_power(p: list[int], e: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Smith normal form properties
 
-def snf_net(rng: random.Random, cases: int = 500, max_dim: int = 50,
+def snf_net(rng: random.Random, cases: int, max_dim: int = 50,
             max_entry: int = 100) -> NetResult:
     """u @ a @ v = diag(d), unimodularity, and the divisibility chain."""
     out = NetResult("snf", cases)
@@ -148,7 +148,7 @@ def _random_commuting_family(rng: random.Random, k: int, m: int) -> list[IntMatr
     return diags
 
 
-def complex_net(rng: random.Random, cases: int = 60) -> NetResult:
+def complex_net(rng: random.Random, cases: int) -> NetResult:
     """Boundary composition, Euler characteristic, and shift identities.
 
     For every sampled complex: consecutive boundaries compose to zero;
@@ -182,7 +182,7 @@ def complex_net(rng: random.Random, cases: int = 60) -> NetResult:
 # ---------------------------------------------------------------------------
 # single-vertex closed form against the chain engine
 
-def single_vertex_net(rng: random.Random, cases: int = 200) -> NetResult:
+def single_vertex_net(rng: random.Random, cases: int) -> NetResult:
     out = NetResult("single-vertex", cases)
     for idx in range(cases):
         k = rng.randint(1, 4)
@@ -217,23 +217,20 @@ def _random_skeleton(rng: random.Random, max_vertices: int = 3,
         _ensure_no_zero_rows(rng, rows, max_entry)
         return KGraphSkeleton(vertices, (IntMatrix.from_rows(rows),))
     # commuting pair strategies; retry until entries stay within bounds
-    shift = IntMatrix(n, n, [1 if (v - w) % n == 1 or n == 1 and v == w else 0
-                             for v in range(n) for w in range(n)])
     ident = IntMatrix.identity(n)
     for _ in range(200):
         style = rng.choice(["shift-poly", "equal", "identity", "diag"])
         if style == "shift-poly":
+            # polynomials in the cyclic shift S, whose power S^e has its
+            # ones at (v, v - e mod n), written down by index
             mats = []
             for _ in range(2):
-                acc = IntMatrix.zeros(n, n)
+                entries = [0] * (n * n)
                 for e in range(n):
                     coeff = rng.randint(0, max_entry)
-                    if coeff:
-                        p = ident
-                        for _ in range(e):
-                            p = p @ shift
-                        acc = acc + coeff * p
-                mats.append(acc)
+                    for v in range(n):
+                        entries[v * n + (v - e) % n] += coeff
+                mats.append(IntMatrix(n, n, entries))
         elif style == "equal":
             rows = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
             _ensure_no_zero_rows(rng, rows, max_entry)
@@ -262,7 +259,7 @@ def _random_skeleton(rng: random.Random, max_vertices: int = 3,
     )
 
 
-def kunneth_net(rng: random.Random, cases: int = 50) -> NetResult:
+def kunneth_net(rng: random.Random, cases: int) -> NetResult:
     """Direct product homology versus the tensor/Tor composition.
 
     Disagreements are listed as findings, each with its pair, so a
@@ -286,7 +283,7 @@ def kunneth_net(rng: random.Random, cases: int = 50) -> NetResult:
 # ---------------------------------------------------------------------------
 # finite actions against the orbit oracle
 
-def zk_net(rng: random.Random, cases: int = 100) -> NetResult:
+def zk_net(rng: random.Random, cases: int) -> NetResult:
     out = NetResult("zk-action", cases)
     for idx in range(cases):
         points = rng.randint(1, 12)
@@ -334,20 +331,16 @@ def point_net() -> NetResult:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def run_all(seed: int, cases: dict | None = None) -> list[NetResult]:
-    counts = dict(DEFAULT_CASES)
-    if cases:
-        counts.update(cases)
-    results = [
-        snf_net(random.Random(f"{seed}/snf"), counts["snf"]),
-        complex_net(random.Random(f"{seed}/complex"), counts["complex"]),
-        single_vertex_net(random.Random(f"{seed}/single-vertex"),
-                          counts["single-vertex"]),
-        kunneth_net(random.Random(f"{seed}/kunneth"), counts["kunneth"]),
-        zk_net(random.Random(f"{seed}/zk-action"), counts["zk-action"]),
-        point_net(),
-    ]
-    return results
+def run_all(seed: int, cases: int | None = None) -> list[NetResult]:
+    """Every net on its own stream of the seed, with its DEFAULT_CASES count
+    unless cases gives one count for all. The nets are read by their
+    module-level names on each call, so a wrapper put there is used."""
+    nets = (snf_net, complex_net, single_vertex_net, kunneth_net, zk_net)
+    return [
+        net(random.Random(f"{seed}/{name}"),
+            DEFAULT_CASES[name] if cases is None else cases)
+        for name, net in zip(DEFAULT_CASES, nets)
+    ] + [point_net()]
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +419,15 @@ def perf_skeleton(seed: int, vertices: int = 100) -> KGraphSkeleton:
     return KGraphSkeleton(labels, tuple(mats))
 
 
-def perf_workload(seed: int, vertices: int = 100) -> PerfReport:
+def perf_workload(seed: int) -> PerfReport:
     """Time the reference homology computation and record entry growth."""
-    sk = perf_skeleton(seed, vertices)
+    sk = perf_skeleton(seed)
     start = time.perf_counter()
     with track_entry_growth() as stats:
         groupoid_homology(sk)
     elapsed = time.perf_counter() - start
     return PerfReport(
-        vertices=vertices,
+        vertices=len(sk.vertices),
         k=sk.k,
         elapsed_s=elapsed,
         peak_bits=stats.peak_bits,

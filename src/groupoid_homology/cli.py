@@ -149,7 +149,7 @@ def _cmd_hk_report(args) -> int:
 
 def _cmd_check(args) -> int:
     # only this command runs the nets, so no other command compiles them
-    from .checks import DEFAULT_CASES, perf_workload, run_all
+    from .checks import perf_workload, run_all
 
     seed = args.seed
     env = os.environ.get("HOMOLOGY_SEED")
@@ -158,10 +158,7 @@ def _cmd_check(args) -> int:
             seed = int(env)
         except ValueError:
             raise SchemaError(f"HOMOLOGY_SEED must be an integer, got {env!r}")
-    cases = None
-    if args.cases is not None:
-        cases = {name: args.cases for name in DEFAULT_CASES}
-    results = run_all(seed, cases)
+    results = run_all(seed, args.cases)
     ok = True
     for r in results:
         print(r.line())

@@ -24,15 +24,22 @@ class ZkAction(namedtuple("ZkAction", "points perms")):
     """k self-maps of {0, .., points-1}, intended to commute and be bijective.
 
     Construction only checks shapes, ranges and that every value is an
-    int, refusing strings, floats and bools as IntMatrix does;
-    bijectivity and commutativity are semantic findings reported by
-    validate_action and enforced by to_koszul.
+    int, refusing strings, floats and bools as IntMatrix does, and that
+    every image list is a list or tuple, so no dict, set or string is read
+    as one at any point count; bijectivity and commutativity are semantic
+    findings reported by validate_action and enforced by to_koszul.
     """
 
     __slots__ = ()
 
     def __new__(cls, points: int, perms):
         (points,) = _exact_ints((points,))
+        perms = tuple(perms)
+        for i, p in enumerate(perms):
+            if not isinstance(p, (list, tuple)):
+                raise TypeError(
+                    f"permutation {i} is a {type(p).__name__}, not a list or tuple"
+                )
         perms = tuple(tuple(_exact_ints(p)) for p in perms)
         if points < 0:
             raise DimensionMismatch(f"negative point count {points}")

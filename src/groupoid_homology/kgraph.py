@@ -33,9 +33,10 @@ from .koszul import build, homology
 class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sources")):
     """Vertex labels plus k square vertex matrices of matching size.
 
-    Construction checks shapes only; semantic requirements (entries
-    non-negative, matrices commuting, no zero rows) are findings
-    reported by validate.
+    Construction checks shapes and that the labels, as strings, are
+    distinct (a repeat raises SkeletonInvalid naming it); semantic
+    requirements (entries non-negative, matrices commuting, no zero
+    rows) are findings reported by validate.
     """
 
     __slots__ = ()
@@ -46,6 +47,10 @@ class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sourc
         n = len(vertices)
         if n == 0:
             raise DimensionMismatch("a skeleton needs at least one vertex")
+        first = {}
+        for j, v in enumerate(vertices):
+            if first.setdefault(v, j) != j:
+                raise SkeletonInvalid([f"vertices[{j}]: duplicate label {v!r}"])
         if not matrices:
             raise DimensionMismatch("a skeleton needs at least one vertex matrix")
         for i, m in enumerate(matrices):
@@ -152,28 +157,17 @@ class KTheoryResult(namedtuple("KTheoryResult", "k0 k1 method")):
         return "verified-structurally"
 
 
-def ktheory_from_profile(
-    profile: HomologyProfile, allow_conjectural: bool = False
-) -> KTheoryResult:
+def ktheory_from_profile(profile: HomologyProfile) -> KTheoryResult:
     """Wire a homology profile into K-theory: K_0 is the sum of the even
     homology groups and K_1 the sum of the odd ones.
 
     k = 1: (K_0, K_1) = (H_0, H_1). k = 2: K_0 = H_0 (+) H_2 and
     K_1 = H_1 (both splittings are unconditional). For k >= 3 the same
-    even/odd pattern is only a conjecture, so it is computed only on
-    request and marked as such.
+    even/odd pattern is only a conjecture, so it is marked as such; ktheory
+    computes it only on request.
     """
-    _rank_gate(profile.k, allow_conjectural)
     method = {1: "rank1", 2: "rank2"}.get(profile.k, "conjectural-k>=3")
     return KTheoryResult(profile.even_sum(), profile.odd_sum(), method)
-
-
-def _rank_gate(k: int, allow_conjectural: bool) -> None:
-    if k >= 3 and not allow_conjectural:
-        raise RankUnsupported(
-            f"K-theory wiring is established for k = 1 and k = 2 only; "
-            f"k = {k} requires allow_conjectural"
-        )
 
 
 def ktheory(s: KGraphSkeleton, allow_conjectural: bool = False) -> KTheoryResult:
@@ -186,8 +180,12 @@ def ktheory(s: KGraphSkeleton, allow_conjectural: bool = False) -> KTheoryResult
     K_1 = ker(id - M_1^t).
     """
     _require_valid(s)
-    _rank_gate(s.k, allow_conjectural)
-    return ktheory_from_profile(_homology_of_valid(s), allow_conjectural)
+    if s.k >= 3 and not allow_conjectural:
+        raise RankUnsupported(
+            f"K-theory wiring is established for k = 1 and k = 2 only; "
+            f"k = {s.k} requires allow_conjectural"
+        )
+    return ktheory_from_profile(_homology_of_valid(s))
 
 
 def single_vertex_closed_form(edge_counts) -> HomologyProfile:
@@ -281,7 +279,7 @@ def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
         raise SkeletonInvalid(negative)
     m = s.matrices[0]
     n = len(s.vertices)
-    edges = sum(m.entries)
+    edges = sum(sum(row.values()) for row in m.data)
     # one column per ordered pair v != w with an edge, in row-major order
     pairs = [(v, w) for v, row in enumerate(m.data) for w in sorted(row) if v != w]
     incidence = [{} for _ in range(n)]
@@ -324,7 +322,7 @@ def hk_report(s: KGraphSkeleton) -> HkReport:
     that equality and always reads "agree".
     """
     profile = groupoid_homology(s)
-    kt = ktheory_from_profile(profile, allow_conjectural=True)
+    kt = ktheory_from_profile(profile)
     notes = list(profile.notes)
     if kt.hk_status == "conjectural":
         notes.append(

@@ -109,15 +109,11 @@ def _parse_zk_action(obj: dict) -> ZkAction:
         raise SchemaError(
             f"permutations: expected {k} permutations for k={k}, got {len(perms)}"
         )
-    # ZkAction refuses every image that is not an int in range and every
-    # image list of the wrong length; on a fault the scan below names the
-    # first one in reading order. With no points an empty object or
-    # string would pass as an empty image list, so only the scan reads it.
-    if points:
-        try:
-            return ZkAction(points, perms)
-        except (TypeError, DimensionMismatch):
-            pass
+    # ZkAction refuses every fault; the scan below names the first one
+    try:
+        return ZkAction(points, perms)
+    except (TypeError, DimensionMismatch):
+        pass
     for i, p in enumerate(perms):
         p = _as_list(p, f"permutations[{i}]")
         if len(p) != points:

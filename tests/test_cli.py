@@ -151,6 +151,16 @@ def test_product_prints_the_instance_it_would_write(capsys, tmp_path):
     assert out == out_path.read_text(encoding="utf-8")
 
 
+def test_product_with_colliding_labels_writes_nothing(capsys, tmp_path):
+    # ("a", "b,c") and ("a,b", "c") both render as the label "(a,b,c)"
+    a = write(tmp_path, "a.json", {**TWO_VERTEX, "vertices": ["a", "a,b"]})
+    b = write(tmp_path, "b.json", {**TWO_VERTEX, "vertices": ["b,c", "c"]})
+    out_path = tmp_path / "prod.json"
+    rc, out, err = run(capsys, ["product", a, b, "-o", str(out_path)])
+    assert rc == 1 and out == "" and not out_path.exists()
+    assert json.loads(err)["error"]["message"] == "vertices[3]: duplicate label '(a,b,c)'"
+
+
 def test_cubical_as_json_and_text(capsys, tmp_path):
     path = write(tmp_path, "g.json", TWO_VERTEX)
     rc, out, _ = run(capsys, ["cubical", path])
@@ -468,6 +478,20 @@ def test_check_rejects_a_negative_case_count(capsys):
     # zero cases is still a valid, empty run
     rc, out, _ = run(capsys, ["check", "--cases", "0"])
     assert rc == 0 and out.splitlines()[0] == "snf: 0 cases, 0 failures"
+
+
+def test_check_perf_prints_its_report_before_the_verdict(capsys):
+    rc, out, _ = run(capsys, ["check", "--seed", "0", "--cases", "0", "--perf"])
+    assert rc == 0
+    lines = out.splitlines()
+    perf = [line for line in lines if line.startswith("perf: ")]
+    assert lines[-6:-1] == perf
+    assert perf[0] == "perf: rank-2 skeleton on 100 vertices"
+    assert perf[1].startswith("perf: homology in ") and perf[1].endswith(" s (budget 60 s)")
+    assert perf[2].startswith("perf: peak entry bits ")
+    assert perf[3].startswith("perf: worst reduction growth ") and "(budget 64x)" in perf[3]
+    assert perf[4] == "perf: PASS"
+    assert lines[-1] == "check: PASS (seed 0)"
 
 
 # --- output pipe closed early ---------------------------------------------------

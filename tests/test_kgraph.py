@@ -318,6 +318,17 @@ def test_cubical_with_loops_parallel_edges_and_both_directions():
     assert prof.notes == ("underlying directed graph: 4 vertices, 9 edges",)
 
 
+def test_cubical_counts_edges_from_the_nonzeros(monkeypatch):
+    def dense(self):
+        raise AssertionError("entries writes out all n^2 entries")
+
+    m = IntMatrix.from_rows([[0, 2, 0], [0, 0, 1], [3, 0, 1]])
+    sk = KGraphSkeleton(("a", "b", "c"), (m,))
+    monkeypatch.setattr(IntMatrix, "entries", property(dense))
+    prof = cubical_homology_rank1(sk)
+    assert prof.notes == ("underlying directed graph: 3 vertices, 7 edges",)
+
+
 def test_cubical_gate_for_higher_rank():
     with pytest.raises(RankUnsupported):
         cubical_homology_rank1(RANK2_35)

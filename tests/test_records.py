@@ -8,7 +8,7 @@ import pytest
 from groupoid_homology.abelian import Z, FgAbGroup, HomologyProfile
 from groupoid_homology.checks import RATIO_BUDGET, TIME_BUDGET_S, NetResult, PerfReport
 from groupoid_homology.dr_finite import ZkAction
-from groupoid_homology.errors import DimensionMismatch
+from groupoid_homology.errors import DimensionMismatch, SkeletonInvalid
 from groupoid_homology.exact_linalg import EntryGrowthStats, IntMatrix, SnfResult, snf
 from groupoid_homology.kgraph import (
     HkReport,
@@ -129,12 +129,22 @@ def test_constructors_normalise():
     pytest.param(lambda: ZkAction(2, (("x", 0),)), TypeError,
                  "'str' object cannot be interpreted as an integer",
                  id="ZkAction-str-image"),
+    # an image list is a list or tuple at any point count, never a dict's
+    # keys, a set's members or a string's characters
+    *[pytest.param(lambda p=p, images=images: ZkAction(p, (images,)), TypeError,
+                   f"permutation 0 is a {type(images).__name__}, not a list or tuple",
+                   id=f"ZkAction-{type(images).__name__}-images-{p}-points")
+      for images, p in [({1: "x", 0: "y"}, 2), ({}, 0), ({1, 0}, 2), (set(), 0),
+                        ("10", 2), ("", 0), (b"\x01\x00", 2), (b"", 0)]],
     (lambda: KGraphSkeleton((), (ONE,)), DimensionMismatch,
      "a skeleton needs at least one vertex"),
     (lambda: KGraphSkeleton(("v",), ()), DimensionMismatch,
      "a skeleton needs at least one vertex matrix"),
     (lambda: KGraphSkeleton(("v", "w"), (TWO, ONE)), DimensionMismatch,
      "matrices[1] has shape (1, 1), expected (2, 2)"),
+    # labels are compared after str(), so 0 and "0" collide
+    pytest.param(lambda: KGraphSkeleton((0, "0"), (TWO,)), SkeletonInvalid,
+                 "vertices[1]: duplicate label '0'", id="KGraphSkeleton-duplicate-label"),
     # a bool shape is refused, not read as 1; explicit ids keep the
     # FgAbGroup case's id above free of a numeric suffix
     pytest.param(lambda: IntMatrix(2, True, [1, 2]), TypeError,
