@@ -151,7 +151,8 @@ def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
     """Homology groups of a length-k complex: exactly k + 1 entries.
 
-    groups[p] is H_p. notes carries free-text provenance lines that the
+    groups[p] is H_p, an FgAbGroup; k is an exact int, as IntMatrix
+    entries are. notes carries free-text provenance lines that the
     command-line tools surface verbatim.
     """
 
@@ -159,6 +160,10 @@ class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
 
     def __new__(cls, groups, k: int, notes=()):
         groups = tuple(groups)
+        (k,) = _exact_ints((k,))
+        for p, g in enumerate(groups):
+            if not isinstance(g, FgAbGroup):
+                raise TypeError(f"H_{p} is a {type(g).__name__}, not an FgAbGroup")
         if len(groups) != k + 1:
             raise ValueError(
                 f"profile for k={k} needs {k + 1} groups, got {len(groups)}"

@@ -63,8 +63,40 @@ DEFAULT_CASES = {
 }
 
 
+# the largest entry of a random skeleton's vertex matrices
+MAX_ENTRY = 3
+
+
 def _random_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> IntMatrix:
     return IntMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
+
+
+def _random_diagonal(rng: random.Random, n: int, lo: int, hi: int) -> IntMatrix:
+    """An n x n diagonal matrix, its entries drawn from lo..hi top to bottom."""
+    return IntMatrix(n, n, [rng.randint(lo, hi) if i % (n + 1) == 0 else 0
+                            for i in range(n * n)])
+
+
+def _random_sourceless(rng: random.Random, n: int) -> IntMatrix:
+    """An n x n matrix over 0..MAX_ENTRY with no zero row (no source): all
+    rows are drawn first, then each zero row gets one entry in
+    1..MAX_ENTRY at a random column."""
+    rows = [[rng.randint(0, MAX_ENTRY) for _ in range(n)] for _ in range(n)]
+    for row in rows:
+        if not any(row):
+            row[rng.randrange(n)] = rng.randint(1, MAX_ENTRY)
+    return IntMatrix.from_rows(rows)
+
+
+def _shift_poly(n: int, terms) -> IntMatrix:
+    """The polynomial sum c * S^e over the (e, c) terms, S the n x n cyclic
+    shift, whose power S^e has its ones at (v, v + e mod n); the powers
+    are written down by index instead of multiplied out."""
+    entries = [0] * (n * n)
+    for e, c in terms:
+        for v in range(n):
+            entries[v * n + (v + e) % n] += c
+    return IntMatrix(n, n, entries)
 
 
 def _random_permutation(rng: random.Random, n: int) -> list[int]:
@@ -139,13 +171,7 @@ def _random_commuting_family(rng: random.Random, k: int, m: int) -> list[IntMatr
         base = _random_permutation(rng, m)
         return [_perm_matrix(_perm_power(base, rng.randint(0, m)), m)
                 for _ in range(k)]
-    diags = []
-    for _ in range(k):
-        entries = [0] * (m * m)
-        for i in range(m):
-            entries[i * m + i] = rng.randint(-3, 3)
-        diags.append(IntMatrix(m, m, entries))
-    return diags
+    return [_random_diagonal(rng, m, -3, 3) for _ in range(k)]
 
 
 def complex_net(rng: random.Random, cases: int) -> NetResult:
@@ -201,62 +227,32 @@ def single_vertex_net(rng: random.Random, cases: int) -> NetResult:
 # ---------------------------------------------------------------------------
 # product skeletons against composed profiles
 
-def _ensure_no_zero_rows(rng: random.Random, rows: list[list[int]], hi: int):
-    for row in rows:
-        if not any(row):
-            row[rng.randrange(len(row))] = rng.randint(1, hi)
-
-
 def _random_skeleton(rng: random.Random, max_vertices: int = 3,
-                     max_entry: int = 3, max_k: int = 2) -> KGraphSkeleton:
+                     max_k: int = 2) -> KGraphSkeleton:
     k = rng.randint(1, max_k)
     n = rng.randint(1, max_vertices)
     vertices = tuple(f"v{i}" for i in range(n))
     if k == 1:
-        rows = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
-        _ensure_no_zero_rows(rng, rows, max_entry)
-        return KGraphSkeleton(vertices, (IntMatrix.from_rows(rows),))
-    # commuting pair strategies; retry until entries stay within bounds
-    ident = IntMatrix.identity(n)
+        return KGraphSkeleton(vertices, (_random_sourceless(rng, n),))
+    # commuting pair strategies; retry until validate finds nothing, which
+    # only a shift polynomial whose coefficients are all 0 can fail
     for _ in range(200):
         style = rng.choice(["shift-poly", "equal", "identity", "diag"])
         if style == "shift-poly":
-            # polynomials in the cyclic shift S, whose power S^e has its
-            # ones at (v, v - e mod n), written down by index
-            mats = []
-            for _ in range(2):
-                entries = [0] * (n * n)
-                for e in range(n):
-                    coeff = rng.randint(0, max_entry)
-                    for v in range(n):
-                        entries[v * n + (v - e) % n] += coeff
-                mats.append(IntMatrix(n, n, entries))
+            mats = [_shift_poly(n, [(-e, rng.randint(0, MAX_ENTRY)) for e in range(n)])
+                    for _ in range(2)]
         elif style == "equal":
-            rows = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
-            _ensure_no_zero_rows(rng, rows, max_entry)
-            m = IntMatrix.from_rows(rows)
-            mats = [m, m]
+            mats = [_random_sourceless(rng, n)] * 2
         elif style == "identity":
-            rows = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
-            _ensure_no_zero_rows(rng, rows, max_entry)
-            mats = [IntMatrix.from_rows(rows), ident]
+            mats = [_random_sourceless(rng, n), IntMatrix.identity(n)]
         else:
-            mats = []
-            for _ in range(2):
-                entries = [0] * (n * n)
-                for i in range(n):
-                    entries[i * n + i] = rng.randint(1, max_entry)
-                mats.append(IntMatrix(n, n, entries))
+            mats = [_random_diagonal(rng, n, 1, MAX_ENTRY) for _ in range(2)]
         sk = KGraphSkeleton(vertices, tuple(mats))
-        largest = max(max(abs(x) for x in m.entries) for m in mats)
-        if largest <= max_entry and not validate(sk):
+        if not validate(sk):
             return sk
     # dependable fallback: a one-vertex pair always qualifies
-    return KGraphSkeleton(
-        ("v",),
-        (IntMatrix(1, 1, [rng.randint(1, max_entry)]),
-         IntMatrix(1, 1, [rng.randint(1, max_entry)])),
-    )
+    return KGraphSkeleton(("v",), tuple(_random_diagonal(rng, 1, 1, MAX_ENTRY)
+                                        for _ in range(2)))
 
 
 def kunneth_net(rng: random.Random, cases: int) -> NetResult:
@@ -400,23 +396,15 @@ def perf_skeleton(seed: int, vertices: int = 100) -> KGraphSkeleton:
     """A deterministic rank-2 skeleton with single-digit entries.
 
     Both vertex matrices are integer polynomials in the same cyclic
-    shift, so they commute, every row has positive entries, and every
-    entry is one of the chosen coefficients (at most 9). Powers of the
-    shift are written down by index instead of multiplied out.
+    shift, each with four distinct exponents, so they commute, every row
+    has positive entries, and every entry is one of the chosen
+    coefficients (at most 9).
     """
     rng = random.Random(f"{seed}/perf")
-    n = vertices
-    mats = []
-    for _ in range(2):
-        exponents = rng.sample(range(n), 4)
-        entries = [0] * (n * n)
-        for e in exponents:
-            coeff = rng.randint(1, 9)
-            for v in range(n):
-                entries[v * n + ((v + e) % n)] += coeff
-        mats.append(IntMatrix(n, n, entries))
-    labels = tuple(f"v{i}" for i in range(n))
-    return KGraphSkeleton(labels, tuple(mats))
+    mats = [_shift_poly(vertices, [(e, rng.randint(1, 9))
+                                   for e in rng.sample(range(vertices), 4)])
+            for _ in range(2)]
+    return KGraphSkeleton(tuple(f"v{i}" for i in range(vertices)), tuple(mats))
 
 
 def perf_workload(seed: int) -> PerfReport:

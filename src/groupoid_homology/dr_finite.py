@@ -25,16 +25,18 @@ class ZkAction(namedtuple("ZkAction", "points perms")):
 
     Construction only checks shapes, ranges and that every value is an
     int, refusing strings, floats and bools as IntMatrix does, and that
-    every image list is a list or tuple, so no dict, set or string is read
-    as one at any point count; bijectivity and commutativity are semantic
-    findings reported by validate_action and enforced by to_koszul.
+    perms and every image list in it are lists or tuples, so no dict,
+    set, string or generator is read as one at any point count;
+    bijectivity and commutativity are semantic findings reported by
+    validate_action and enforced by to_koszul.
     """
 
     __slots__ = ()
 
     def __new__(cls, points: int, perms):
         (points,) = _exact_ints((points,))
-        perms = tuple(perms)
+        if not isinstance(perms, (list, tuple)):
+            raise TypeError(f"perms is a {type(perms).__name__}, not a list or tuple")
         for i, p in enumerate(perms):
             if not isinstance(p, (list, tuple)):
                 raise TypeError(

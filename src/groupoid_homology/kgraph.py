@@ -33,10 +33,11 @@ from .koszul import build, homology
 class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sources")):
     """Vertex labels plus k square vertex matrices of matching size.
 
-    Construction checks shapes and that the labels, as strings, are
-    distinct (a repeat raises SkeletonInvalid naming it); semantic
-    requirements (entries non-negative, matrices commuting, no zero
-    rows) are findings reported by validate.
+    Construction checks that every matrix is an IntMatrix, shapes, and
+    that the labels, as strings, are distinct (a repeat raises
+    SkeletonInvalid naming it); semantic requirements (entries
+    non-negative, matrices commuting, no zero rows) are findings
+    reported by validate.
     """
 
     __slots__ = ()
@@ -54,6 +55,8 @@ class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sourc
         if not matrices:
             raise DimensionMismatch("a skeleton needs at least one vertex matrix")
         for i, m in enumerate(matrices):
+            if not isinstance(m, IntMatrix):
+                raise TypeError(f"matrices[{i}] is a {type(m).__name__}, not an IntMatrix")
             if m.shape != (n, n):
                 raise DimensionMismatch(
                     f"matrices[{i}] has shape {m.shape}, expected ({n}, {n})"

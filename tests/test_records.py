@@ -121,6 +121,14 @@ def test_constructors_normalise():
      "'float' object cannot be interpreted as an integer"),
     (lambda: FgAbGroup(True), TypeError, "expected integers, got a bool"),
     (lambda: HomologyProfile((Z,), 1), ValueError, "profile for k=1 needs 2 groups, got 1"),
+    # k is an exact int and every group an FgAbGroup, not a tuple equal to one
+    pytest.param(lambda: HomologyProfile((Z, Z), 1.0), TypeError,
+                 "'float' object cannot be interpreted as an integer",
+                 id="HomologyProfile-float-k"),
+    pytest.param(lambda: HomologyProfile((Z, Z), True), TypeError,
+                 "expected integers, got a bool", id="HomologyProfile-bool-k"),
+    pytest.param(lambda: HomologyProfile((Z, (1, ())), 1), TypeError,
+                 "H_1 is a tuple, not an FgAbGroup", id="HomologyProfile-tuple-group"),
     (lambda: ZkAction(-1, ()), DimensionMismatch, "negative point count -1"),
     (lambda: ZkAction(3, ((1, 0),)), DimensionMismatch,
      "permutation 0 has 2 images for 3 points"),
@@ -136,12 +144,20 @@ def test_constructors_normalise():
                    id=f"ZkAction-{type(images).__name__}-images-{p}-points")
       for images, p in [({1: "x", 0: "y"}, 2), ({}, 0), ({1, 0}, 2), (set(), 0),
                         ("10", 2), ("", 0), (b"\x01\x00", 2), (b"", 0)]],
+    # so is the list of image lists, and a generator is refused unread
+    *[pytest.param(lambda p=p, perms=perms: ZkAction(p, perms()), TypeError,
+                   f"perms is a {kind}, not a list or tuple", id=f"ZkAction-{kind}-perms")
+      for kind, perms, p in [("dict", lambda: {(1, 0): "x"}, 2), ("set", lambda: {(1, 0)}, 2),
+                             ("str", lambda: "", 0), ("bytes", lambda: b"", 0),
+                             ("generator", lambda: ((1, 0) for _ in range(1)), 2)]],
     (lambda: KGraphSkeleton((), (ONE,)), DimensionMismatch,
      "a skeleton needs at least one vertex"),
     (lambda: KGraphSkeleton(("v",), ()), DimensionMismatch,
      "a skeleton needs at least one vertex matrix"),
     (lambda: KGraphSkeleton(("v", "w"), (TWO, ONE)), DimensionMismatch,
      "matrices[1] has shape (1, 1), expected (2, 2)"),
+    pytest.param(lambda: KGraphSkeleton(["a"], [[[2]]]), TypeError,
+                 "matrices[0] is a list, not an IntMatrix", id="KGraphSkeleton-list-matrix"),
     # labels are compared after str(), so 0 and "0" collide
     pytest.param(lambda: KGraphSkeleton((0, "0"), (TWO,)), SkeletonInvalid,
                  "vertices[1]: duplicate label '0'", id="KGraphSkeleton-duplicate-label"),

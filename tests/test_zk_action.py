@@ -37,6 +37,13 @@ def test_constructor_refuses_non_integral_points_and_images():
         ZkAction(2, [["1", 0]])
 
 
+def test_constructor_refuses_a_generator_of_image_lists_unread():
+    perms = ((1, 0) for _ in range(1))
+    with pytest.raises(TypeError):
+        ZkAction(2, perms)
+    assert next(perms) == (1, 0)
+
+
 def perm_power(p, e):
     q = list(range(len(p)))
     for _ in range(e):
