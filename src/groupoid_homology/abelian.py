@@ -152,8 +152,8 @@ class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
     """Homology groups of a length-k complex: exactly k + 1 entries.
 
     groups[p] is H_p, an FgAbGroup; k is an exact int, as IntMatrix
-    entries are. notes carries free-text provenance lines that the
-    command-line tools surface verbatim.
+    entries are. notes, a list or tuple, carries free-text provenance
+    lines that the command-line tools surface verbatim.
     """
 
     __slots__ = ()
@@ -161,6 +161,8 @@ class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
     def __new__(cls, groups, k: int, notes=()):
         groups = tuple(groups)
         (k,) = _exact_ints((k,))
+        if not isinstance(notes, (list, tuple)):
+            raise TypeError(f"notes is a {type(notes).__name__}, not a list or tuple")
         for p, g in enumerate(groups):
             if not isinstance(g, FgAbGroup):
                 raise TypeError(f"H_{p} is a {type(g).__name__}, not an FgAbGroup")

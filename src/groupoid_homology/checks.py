@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from math import comb
 
 from .abelian import FgAbGroup
@@ -25,6 +26,7 @@ from .kgraph import (
     kunneth,
     product,
     single_vertex_closed_form,
+    single_vertex_skeleton,
     validate,
 )
 from .koszul import build, homology, verify_shift_identity
@@ -115,14 +117,19 @@ def _perm_power(p: list[int], e: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Smith normal form properties
 
-def snf_net(rng: random.Random, cases: int, max_dim: int = 50,
-            max_entry: int = 100) -> NetResult:
+# acceptance criterion 08: each snf_net case is rows x cols, both drawn from
+# 1..SNF_MAX_DIM, with entries drawn from -SNF_MAX_ENTRY..SNF_MAX_ENTRY
+SNF_MAX_DIM = 50
+SNF_MAX_ENTRY = 100
+
+
+def snf_net(rng: random.Random, cases: int) -> NetResult:
     """u @ a @ v = diag(d), unimodularity, and the divisibility chain."""
     out = NetResult("snf", cases)
     for idx in range(cases):
-        rows = rng.randint(1, max_dim)
-        cols = rng.randint(1, max_dim)
-        a = _random_matrix(rng, rows, cols, -max_entry, max_entry)
+        rows = rng.randint(1, SNF_MAX_DIM)
+        cols = rng.randint(1, SNF_MAX_DIM)
+        a = _random_matrix(rng, rows, cols, -SNF_MAX_ENTRY, SNF_MAX_ENTRY)
         r = snf(a)
 
         def fail(msg):
@@ -214,8 +221,7 @@ def single_vertex_net(rng: random.Random, cases: int) -> NetResult:
         k = rng.randint(1, 4)
         counts = [rng.randint(2, 7) for _ in range(k)]
         closed = single_vertex_closed_form(counts)
-        sk = KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [n]) for n in counts))
-        engine = groupoid_homology(sk)
+        engine = groupoid_homology(single_vertex_skeleton(counts))
         if closed.groups != engine.groups:
             out.failures.append(
                 f"case {idx}: counts {counts}: closed form {closed.describe()} "
@@ -347,46 +353,33 @@ TIME_BUDGET_S = 60.0
 RATIO_BUDGET = 64
 
 
-class PerfReport:
-    """Timing and entry-growth summary for the reference workload.
+class PerfReport(namedtuple("PerfReport", "vertices k elapsed_s stats")):
+    """Timing of the reference workload, with its EntryGrowthStats.
 
     Growth is judged per diagonal reduction: each reduction's peak is
     compared with the entries it was given, which is what the pivoting
     strategy actually controls.
     """
 
-    __slots__ = ("vertices", "k", "elapsed_s", "peak_bits", "worst")
-
-    def __init__(self, vertices: int, k: int, elapsed_s: float, peak_bits: int,
-                 worst: tuple[int, int, int, int] | None):
-        self.vertices = vertices
-        self.k = k
-        self.elapsed_s = elapsed_s
-        self.peak_bits = peak_bits
-        self.worst = worst
-
-    @property
-    def ratio(self) -> float:
-        if self.worst is None:
-            return 0.0
-        return self.worst[3] / self.worst[2]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return self.elapsed_s < TIME_BUDGET_S and self.ratio < RATIO_BUDGET
+        return self.elapsed_s < TIME_BUDGET_S and self.stats.worst_ratio < RATIO_BUDGET
 
     def lines(self) -> list[str]:
-        if self.worst is None:
+        worst = self.stats.worst_reduction()
+        if worst is None:
             growth = "perf: no reductions recorded"
         else:
-            rows, cols, inp, peak = self.worst
-            growth = (f"perf: worst reduction growth {self.ratio:.1f}x "
+            rows, cols, inp, peak = worst
+            growth = (f"perf: worst reduction growth {self.stats.worst_ratio:.1f}x "
                       f"(budget {RATIO_BUDGET}x): {rows}x{cols} matrix, "
                       f"input {inp} bits, peak {peak} bits")
         return [
             f"perf: rank-{self.k} skeleton on {self.vertices} vertices",
             f"perf: homology in {self.elapsed_s:.2f} s (budget {TIME_BUDGET_S:.0f} s)",
-            f"perf: peak entry bits {self.peak_bits}",
+            f"perf: peak entry bits {self.stats.peak_bits}",
             growth,
             f"perf: {'PASS' if self.ok else 'FAIL'}",
         ]
@@ -414,10 +407,4 @@ def perf_workload(seed: int) -> PerfReport:
     with track_entry_growth() as stats:
         groupoid_homology(sk)
     elapsed = time.perf_counter() - start
-    return PerfReport(
-        vertices=len(sk.vertices),
-        k=sk.k,
-        elapsed_s=elapsed,
-        peak_bits=stats.peak_bits,
-        worst=stats.worst_reduction(),
-    )
+    return PerfReport(len(sk.vertices), sk.k, elapsed, stats)

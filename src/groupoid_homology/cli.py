@@ -23,7 +23,6 @@ import sys
 # which _cmd_check imports for itself.
 from .dr_finite import to_koszul, validate_action
 from .errors import BrokenComplex, GroupoidHomologyError, SchemaError, SkeletonInvalid
-from .exact_linalg import IntMatrix
 from .kgraph import (
     KGraphSkeleton,
     cubical_homology_rank1,
@@ -33,6 +32,7 @@ from .kgraph import (
     kunneth,
     product,
     single_vertex_closed_form,
+    single_vertex_skeleton,
     validate,
 )
 from .koszul import homology
@@ -97,8 +97,7 @@ def _cmd_single_vertex(args) -> int:
     except ValueError:
         raise SchemaError(f"--edges wants a comma-separated list, got {args.edges!r}")
     prof = single_vertex_closed_form(counts)
-    sk = KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [n]) for n in counts))
-    direct = groupoid_homology(sk)
+    direct = groupoid_homology(single_vertex_skeleton(counts))
     if direct.groups != prof.groups:
         raise BrokenComplex(
             f"closed form {prof.describe()} disagrees with the vertex-matrix "

@@ -257,17 +257,13 @@ class EntryGrowthStats:
     reduction is recorded as [rows, cols, input_bits, peak_bits], so
     growth is judged against what that stage was given, not against
     the first matrix in a pipeline.
-    transform_bits is the bit length of the largest entry of any U or V
-    that snf returned.
     """
 
-    __slots__ = ("peak_bits", "reductions", "transform_bits")
+    __slots__ = ("peak_bits", "reductions")
 
-    def __init__(self, peak_bits: int = 0, reductions: list[list[int]] | None = None,
-                 transform_bits: int = 0):
+    def __init__(self, peak_bits: int = 0, reductions: list[list[int]] | None = None):
         self.peak_bits = peak_bits
         self.reductions = [] if reductions is None else reductions
-        self.transform_bits = transform_bits
 
     def begin_reduction(self, rows: int, cols: int, magnitude: int):
         bits = magnitude.bit_length()
@@ -283,18 +279,9 @@ class EntryGrowthStats:
             self.reductions[-1][3] = b
 
     def worst_reduction(self) -> tuple[int, int, int, int] | None:
-        """The recorded reduction with the largest peak/input bit ratio."""
-        worst = None
-        worst_key = -1.0
-        for rec in self.reductions:
-            rows, cols, inp, peak = rec
-            if inp == 0:
-                continue
-            key = peak / inp
-            if key > worst_key:
-                worst_key = key
-                worst = (rows, cols, inp, peak)
-        return worst
+        """The first reduction with the largest peak/input bit ratio, if any has input bits."""
+        return max((tuple(rec) for rec in self.reductions if rec[2]),
+                   key=lambda rec: rec[3] / rec[2], default=None)
 
     @property
     def worst_ratio(self) -> float:
@@ -513,10 +500,6 @@ def snf(a: IntMatrix) -> SnfResult:
     diag, U, V = _smithify(H + _identity_rows(n), r, n)
     u = IntMatrix.from_rows(U + kernel, cols=a.rows)
     v = IntMatrix.from_rows(V, cols=n)
-    stats = _TRACK.get()
-    if stats is not None:
-        stats.transform_bits = max(stats.transform_bits, u.max_bit_length(),
-                                   v.max_bit_length())
     d = tuple(diag) + (0,) * (min(a.shape) - r)
     return SnfResult(d, u, v, r)
 

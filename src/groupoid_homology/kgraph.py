@@ -138,7 +138,7 @@ def _homology_of_valid(s: KGraphSkeleton) -> HomologyProfile:
             "coordinate); structural results assume none"
         )
     c = build(s.k, endos, m=len(s.vertices))
-    return homology(c, notes=tuple(notes))
+    return homology(c, notes)
 
 
 class KTheoryResult(namedtuple("KTheoryResult", "k0 k1 method")):
@@ -217,6 +217,11 @@ def single_vertex_closed_form(edge_counts) -> HomologyProfile:
         k,
         (f"closed form: H_p = (Z_{g})^C({k - 1},p), g = gcd of edge counts - 1",),
     )
+
+
+def single_vertex_skeleton(edge_counts) -> KGraphSkeleton:
+    """The one-vertex skeleton that single_vertex_closed_form describes."""
+    return KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [n]) for n in edge_counts))
 
 
 def product(a: KGraphSkeleton, b: KGraphSkeleton) -> KGraphSkeleton:

@@ -170,7 +170,7 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
             )
         groups.append(FgAbGroup(free, coker.torsion))
         r_p = d.rows - coker.free_rank
-    profile = HomologyProfile(tuple(groups), c.k, tuple(notes))
+    profile = HomologyProfile(tuple(groups), c.k, notes)
     if c.k >= 1 and profile.euler_characteristic() != 0:
         raise BrokenComplex("alternating sum of homology free ranks is nonzero")
     return profile

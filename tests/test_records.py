@@ -129,6 +129,9 @@ def test_constructors_normalise():
                  "expected integers, got a bool", id="HomologyProfile-bool-k"),
     pytest.param(lambda: HomologyProfile((Z, (1, ())), 1), TypeError,
                  "H_1 is a tuple, not an FgAbGroup", id="HomologyProfile-tuple-group"),
+    # notes are a list or tuple of lines, never a string's characters
+    pytest.param(lambda: HomologyProfile((Z,), 0, "closed form"), TypeError,
+                 "notes is a str, not a list or tuple", id="HomologyProfile-str-notes"),
     (lambda: ZkAction(-1, ()), DimensionMismatch, "negative point count -1"),
     (lambda: ZkAction(3, ((1, 0),)), DimensionMismatch,
      "permutation 0 has 2 images for 3 points"),
@@ -190,15 +193,18 @@ def test_constructor_errors_keep_type_and_text(make, exc, text):
 
 def test_entry_growth_stats_defaults_and_fresh_lists():
     a, b = EntryGrowthStats(), EntryGrowthStats()
-    assert (a.peak_bits, a.reductions, a.transform_bits) == (0, [], 0)
+    assert (a.peak_bits, a.reductions) == (0, [])
+    assert a.worst_reduction() is None and a.worst_ratio == 0.0
     a.begin_reduction(2, 3, 255)
     assert a.reductions == [[2, 3, 8, 8]] and b.reductions == []
     a.peak_bits = 9
-    a.transform_bits = 4
-    assert (a.peak_bits, a.transform_bits) == (9, 4)
+    assert a.peak_bits == 9
     c = EntryGrowthStats(peak_bits=5, reductions=[[1, 1, 2, 5]])
-    assert (c.peak_bits, c.reductions, c.transform_bits) == (5, [[1, 1, 2, 5]], 0)
+    assert (c.peak_bits, c.reductions) == (5, [[1, 1, 2, 5]])
     assert c.worst_reduction() == (1, 1, 2, 5) and c.worst_ratio == 2.5
+    # a record with no input bits is skipped, and the first of equal ratios wins
+    d = EntryGrowthStats(7, [[1, 1, 0, 7], [2, 2, 2, 4], [3, 3, 1, 2]])
+    assert d.worst_reduction() == (2, 2, 2, 4) and d.worst_ratio == 2.0
 
 
 def test_net_result_defaults_and_fresh_lists():
@@ -217,11 +223,18 @@ def test_net_result_defaults_and_fresh_lists():
 
 def test_perf_report_defaults():
     assert (TIME_BUDGET_S, RATIO_BUDGET) == (60.0, 64)
-    r = PerfReport(vertices=4, k=2, elapsed_s=0.5, peak_bits=9, worst=(2, 2, 3, 9))
-    assert r.ratio == 3.0 and r.ok and r.lines()[4] == "perf: PASS"
-    r.elapsed_s = 61.0
+    r = PerfReport(4, 2, 0.5, EntryGrowthStats(9, [[2, 2, 3, 9]]))
+    assert r.ok and r.lines() == [
+        "perf: rank-2 skeleton on 4 vertices",
+        "perf: homology in 0.50 s (budget 60 s)",
+        "perf: peak entry bits 9",
+        "perf: worst reduction growth 3.0x (budget 64x): 2x2 matrix, input 3 bits, peak 9 bits",
+        "perf: PASS",
+    ]
+    r = r._replace(elapsed_s=61.0)
     assert not r.ok and r.lines()[4] == "perf: FAIL"
     assert r.lines()[1] == "perf: homology in 61.00 s (budget 60 s)"
-    s = PerfReport(4, 2, 0.5, 9, None)
-    assert s.ratio == 0.0 and s.ok
+    s = PerfReport(vertices=4, k=2, elapsed_s=0.5, stats=EntryGrowthStats(9))
+    assert s.ok
     assert s.lines()[3] == "perf: no reductions recorded"
+    assert not PerfReport(4, 2, 0.5, EntryGrowthStats(9, [[2, 2, 1, 64]])).ok
