@@ -4,7 +4,8 @@ Every net takes an explicit random.Random so a fixed seed reproduces the
 exact same cases on any platform. Failures are hard errors (a property
 that must hold was violated). Findings are disagreements listed for
 review, currently only product-versus-composition comparisons; Kunneth
-holds for these complexes as a theorem, so a finding fails the net too.
+holds for these complexes as a theorem, so a finding is a bug in the
+engine, not a counterexample, and fails the net too.
 """
 
 from __future__ import annotations
@@ -264,8 +265,9 @@ def _random_skeleton(rng: random.Random, max_vertices: int = 3,
 def kunneth_net(rng: random.Random, cases: int) -> NetResult:
     """Direct product homology versus the tensor/Tor composition.
 
-    Disagreements are listed as findings, each with its pair, so a
-    counterexample surfaces for review; any finding fails the net.
+    Disagreements are listed as findings, each with its pair. Kunneth is
+    a theorem for these tensor-product complexes, so a finding is a bug
+    in the engine, not a counterexample; any finding fails the net.
     """
     out = NetResult("kunneth", cases)
     for idx in range(cases):

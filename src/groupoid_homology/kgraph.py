@@ -33,16 +33,20 @@ from .koszul import build, homology
 class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sources")):
     """Vertex labels plus k square vertex matrices of matching size.
 
-    Construction checks that every matrix is an IntMatrix, shapes, and
-    that the labels, as strings, are distinct (a repeat raises
-    SkeletonInvalid naming it); semantic requirements (entries
-    non-negative, matrices commuting, no zero rows) are findings
-    reported by validate.
+    Construction checks that vertices and matrices are each a list or
+    tuple, so no string is split into labels and no set is read in hash
+    order, that every matrix is an IntMatrix, shapes, and that the
+    labels, as strings, are distinct (a repeat raises SkeletonInvalid
+    naming it); semantic requirements (entries non-negative, matrices
+    commuting, no zero rows) are findings reported by validate.
     """
 
     __slots__ = ()
 
     def __new__(cls, vertices, matrices, allow_sources: bool = False):
+        for name, value in (("vertices", vertices), ("matrices", matrices)):
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"{name} is a {type(value).__name__}, not a list or tuple")
         vertices = tuple(str(v) for v in vertices)
         matrices = tuple(matrices)
         n = len(vertices)

@@ -162,6 +162,8 @@ def load_instance(path: str) -> KGraphSkeleton | ZkAction:
             f"{path}: an integer literal has more than "
             f"{sys.get_int_max_str_digits()} digits"
         ) from e
+    except RecursionError as e:
+        raise SchemaError(f"{path}: JSON nested too deeply") from e
     return parse_instance(obj)
 
 

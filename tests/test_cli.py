@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 import groupoid_homology
 from groupoid_homology import checks, cli, errors
 from groupoid_homology.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TWO_VERTEX = {
     "kind": "kgraph",
@@ -252,6 +255,20 @@ def test_overlong_integer_literal_is_a_schema_failure(capsys, tmp_path):
     rc, _, err = run(capsys, ["homology", str(path)])
     assert rc == 2
     assert json.loads(err)["error"]["message"].startswith(f"{path}: invalid JSON at line 1")
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"kind": "kgraph", "k": 1, "vertices": ["v"], "matrices": '
+    + "[" * 100000 + "]" * 100000 + "}",
+], ids=["bare-array", "kgraph-matrices"])
+def test_deeply_nested_json_is_a_schema_failure(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["homology", str(path)])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "SchemaError", "message": f"{path}: JSON nested too deeply"}
 
 
 @pytest.mark.parametrize("entry, shown", [
@@ -576,3 +593,15 @@ def test_startup_loads_no_dataclasses_and_no_check_nets(capsys, monkeypatch, tmp
     rc, out, modules = fresh(["check", "--cases", "0", "--seed", "0"])
     assert rc == 0 and out.splitlines()[-1] == "check: PASS (seed 0)"
     assert "groupoid_homology.checks" in modules
+
+
+# --- benchmark tracer -----------------------------------------------------------
+
+def test_benchmark_tracer_wraps_names_that_exist(monkeypatch):
+    # perfbench/tracing.py replaces these module attributes by name; a
+    # refactor that moves or drops one would break traced benchmark runs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    assert tracing.WRAPPED
+    for module, attr, *_ in tracing.WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"

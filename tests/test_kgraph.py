@@ -278,6 +278,26 @@ def test_product_homology_matches_composition():
         "Z_2 (+) Z_2",
         "0",
     ]
+    # rank-1 x rank-2 pairs whose matrices are c*I + c'*B for one random
+    # nonnegative B per factor, so each factor commutes and has no source
+    rng = random.Random(0)
+
+    def factor(k):
+        n = rng.randint(1, 2)
+        base = IntMatrix.from_rows([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
+        return KGraphSkeleton(tuple(f"v{i}" for i in range(n)), tuple(
+            rng.randint(1, 3) * IntMatrix.identity(n) + rng.randint(0, 2) * base
+            for _ in range(k)))
+
+    nonzero = 0
+    for _ in range(20):
+        a, b = factor(1), factor(2)
+        assert validate(a) == validate(b) == []
+        direct = groupoid_homology(product(a, b))
+        assert direct.groups == kunneth(groupoid_homology(a), groupoid_homology(b)).groups
+        nonzero += any(g != TRIVIAL for g in direct.groups)
+    # most products in this family are acyclic; these draws are not all
+    assert nonzero == 5
 
 
 def test_composition_of_free_profiles_by_hand():

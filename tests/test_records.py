@@ -161,6 +161,15 @@ def test_constructors_normalise():
      "matrices[1] has shape (1, 1), expected (2, 2)"),
     pytest.param(lambda: KGraphSkeleton(["a"], [[[2]]]), TypeError,
                  "matrices[0] is a list, not an IntMatrix", id="KGraphSkeleton-list-matrix"),
+    # vertices and matrices are a list or tuple, never a string's characters,
+    # a set in hash order or a generator
+    *[pytest.param(lambda v=v: KGraphSkeleton(v(), (ONE,)), TypeError,
+                   f"vertices is a {kind}, not a list or tuple", id=f"KGraphSkeleton-{kind}-vertices")
+      for kind, v in [("str", lambda: "abc"), ("set", lambda: {"v"}),
+                      ("generator", lambda: (c for c in "v"))]],
+    *[pytest.param(lambda m=m: KGraphSkeleton(("v",), m()), TypeError,
+                   f"matrices is a {kind}, not a list or tuple", id=f"KGraphSkeleton-{kind}-matrices")
+      for kind, m in [("set", lambda: {ONE}), ("generator", lambda: (x for x in (ONE,)))]],
     # labels are compared after str(), so 0 and "0" collide
     pytest.param(lambda: KGraphSkeleton((0, "0"), (TWO,)), SkeletonInvalid,
                  "vertices[1]: duplicate label '0'", id="KGraphSkeleton-duplicate-label"),
