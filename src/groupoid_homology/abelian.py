@@ -25,6 +25,14 @@ def _exact_ints(values) -> list[int]:
     return list(map(operator.index, values))
 
 
+def _list_or_tuple(value, name: str):
+    """value itself if it is a list or tuple; anything else (a set in hash
+    order, a dict's keys, a string, a generator) is a TypeError naming it."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} is a {type(value).__name__}, not a list or tuple")
+    return value
+
+
 def _divisibility_chain(orders) -> tuple[int, ...]:
     """Renormalize cyclic orders into an ascending divisibility chain.
 
@@ -161,8 +169,7 @@ class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
     def __new__(cls, groups, k: int, notes=()):
         groups = tuple(groups)
         (k,) = _exact_ints((k,))
-        if not isinstance(notes, (list, tuple)):
-            raise TypeError(f"notes is a {type(notes).__name__}, not a list or tuple")
+        notes = _list_or_tuple(notes, "notes")
         for p, g in enumerate(groups):
             if not isinstance(g, FgAbGroup):
                 raise TypeError(f"H_{p} is a {type(g).__name__}, not an FgAbGroup")

@@ -185,10 +185,10 @@ def _random_commuting_family(rng: random.Random, k: int, m: int) -> list[IntMatr
 def complex_net(rng: random.Random, cases: int) -> NetResult:
     """Boundary composition, Euler characteristic, and shift identities.
 
-    For every sampled complex: consecutive boundaries compose to zero;
-    the alternating sum of homology free ranks vanishes; and for every
-    kernel-basis cycle in every degree and every endomorphism index, the
-    shifted cycle differs from the original by a boundary.
+    For every sampled complex: consecutive boundaries compose to zero
+    (the run-time check of build's assembly); homology free ranks have
+    alternating sum 0; and for every kernel-basis cycle in every degree
+    and endomorphism index, the shifted cycle differs by a boundary.
     """
     out = NetResult("complex", cases)
     for idx in range(cases):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .abelian import HomologyProfile, _exact_ints, direct_sum
+from .abelian import HomologyProfile, _exact_ints, _list_or_tuple, direct_sum
 from .errors import DimensionMismatch, NonCommuting, NotBijective
 from .exact_linalg import IntMatrix
 # perfbench/tracing.py wraps build and homology at this module by name
@@ -35,13 +35,9 @@ class ZkAction(namedtuple("ZkAction", "points perms")):
 
     def __new__(cls, points: int, perms):
         (points,) = _exact_ints((points,))
-        if not isinstance(perms, (list, tuple)):
-            raise TypeError(f"perms is a {type(perms).__name__}, not a list or tuple")
+        perms = _list_or_tuple(perms, "perms")
         for i, p in enumerate(perms):
-            if not isinstance(p, (list, tuple)):
-                raise TypeError(
-                    f"permutation {i} is a {type(p).__name__}, not a list or tuple"
-                )
+            _list_or_tuple(p, f"permutation {i}")
         perms = tuple(tuple(_exact_ints(p)) for p in perms)
         if points < 0:
             raise DimensionMismatch(f"negative point count {points}")

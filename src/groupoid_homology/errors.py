@@ -25,11 +25,12 @@ class NonCommuting(GroupoidHomologyError, ValueError):
 
 
 class BrokenComplex(GroupoidHomologyError, RuntimeError):
-    """An internal chain-complex consistency check failed.
+    """A chain-complex consistency check failed.
 
-    This is always a bug: for commuting endomorphisms the boundary maps
-    compose to zero by construction, so any violation means the assembly
-    or the downstream algebra is wrong.
+    Raised by koszul.homology on a hand-built complex whose boundaries
+    do not compose to zero, by kgraph.cubical_homology_rank1 and by the
+    ghom single-vertex cross-check. Outside hand-built complexes it is a
+    bug: build checks commutation, which makes d o d = 0.
     """
 
 

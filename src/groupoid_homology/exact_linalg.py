@@ -42,7 +42,7 @@ from itertools import chain, compress, repeat
 from math import gcd
 from operator import add, index, mul, sub
 
-from .abelian import FgAbGroup, _exact_ints
+from .abelian import FgAbGroup, _exact_ints, _list_or_tuple
 from .errors import DimensionMismatch, NoIntegerSolution
 
 
@@ -92,13 +92,14 @@ class IntMatrix:
     data holds one {col: value} dict per row with the nonzero entries of
     that row, and cols is the column count. Arithmetic never overflows
     and never rounds; all operations return new matrices and no stored
-    row is ever changed, so matrices may share rows.
+    row is ever changed, so matrices may share rows. Entries, and rows in
+    from_rows, are lists or tuples only: a set would be read in hash order.
     """
 
     __slots__ = ("data", "cols")
 
     def __init__(self, rows: int, cols: int, entries):
-        flat = _exact_ints(entries)
+        flat = _exact_ints(_list_or_tuple(entries, "entries"))
         rows, cols = _shape(rows, cols)
         if len(flat) != rows * cols:
             raise DimensionMismatch(
@@ -120,7 +121,8 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+        rows = [list(_list_or_tuple(r, f"row {i}"))
+                for i, r in enumerate(_list_or_tuple(rows, "rows"))]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -17,7 +17,8 @@ import math
 from collections import namedtuple
 from math import comb
 
-from .abelian import FgAbGroup, HomologyProfile, _exact_ints, direct_sum, tensor, tor
+from .abelian import (FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple, direct_sum,
+                      tensor, tor)
 from .errors import (
     BrokenComplex,
     DimensionMismatch,
@@ -44,11 +45,8 @@ class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sourc
     __slots__ = ()
 
     def __new__(cls, vertices, matrices, allow_sources: bool = False):
-        for name, value in (("vertices", vertices), ("matrices", matrices)):
-            if not isinstance(value, (list, tuple)):
-                raise TypeError(f"{name} is a {type(value).__name__}, not a list or tuple")
-        vertices = tuple(str(v) for v in vertices)
-        matrices = tuple(matrices)
+        vertices = tuple(str(v) for v in _list_or_tuple(vertices, "vertices"))
+        matrices = tuple(_list_or_tuple(matrices, "matrices"))
         n = len(vertices)
         if n == 0:
             raise DimensionMismatch("a skeleton needs at least one vertex")
@@ -203,7 +201,7 @@ def single_vertex_closed_form(edge_counts) -> HomologyProfile:
     (a gcd with any zero argument is the gcd of the rest). Counts below
     2 fall outside the hypotheses and raise HypothesisViolated.
     """
-    counts = _exact_ints(edge_counts)
+    counts = _exact_ints(_list_or_tuple(edge_counts, "edge_counts"))
     if not counts:
         raise HypothesisViolated("need at least one edge count")
     for n in counts:
@@ -225,7 +223,8 @@ def single_vertex_closed_form(edge_counts) -> HomologyProfile:
 
 def single_vertex_skeleton(edge_counts) -> KGraphSkeleton:
     """The one-vertex skeleton that single_vertex_closed_form describes."""
-    return KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [n]) for n in edge_counts))
+    counts = _list_or_tuple(edge_counts, "edge_counts")
+    return KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [n]) for n in counts))
 
 
 def product(a: KGraphSkeleton, b: KGraphSkeleton) -> KGraphSkeleton:

@@ -9,12 +9,13 @@ alternating sign. Homology of this complex is what the rest of the
 package computes for groupoid presentations.
 
 Endomorphisms and boundaries are IntMatrix, which keeps the
-{col: value} rows of its nonzeros: build writes the rows of the blocks
-+-(id - S_i) from the rows of the endomorphisms it is given, checks
-d o d = 0 row by row, and homology hands the stored boundaries to
-cokernel as they are. A column of the degree-p boundary holds the
-nonzeros of p such blocks, at most 2p for a Z^k action by
-permutations.
+{col: value} rows of its nonzeros: build checks that the endomorphisms
+it is given commute, writes the rows of the blocks +-(id - S_i) from
+their rows, and homology hands the stored boundaries to cokernel as
+they are. Commutation makes d o d = 0 (Eisenbud, Commutative Algebra,
+section 17.2), so no boundary composite is taken. A column of the
+degree-p boundary holds the nonzeros of p such blocks, at most 2p for
+a Z^k action by permutations.
 """
 
 from __future__ import annotations
@@ -62,16 +63,14 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
 
     The degree-p boundary sends a generator (i_1 < ... < i_p, v) to the
     sum over j of (-1)^(j+1) times (i_1 .. i_p with i_j removed,
-    (id - S_{i_j}) v); for p = 1 this is just (id - S_{i_1}) v. The
-    composition of consecutive boundaries is verified to vanish before
-    returning. In degree 2 this is the commutation check: column block
-    (i, j) of the composite is S_j S_i - S_i S_j, and the first nonzero
-    block is raised as NonCommuting. In higher degrees it guards the
-    assembly against sign and indexing mistakes (BrokenComplex). The
-    endomorphisms are stored as they are given; the boundaries are
-    written from their rows and the composite is taken row by row, so
-    the check costs about the nonzeros of the lower boundary times those
-    of a row of the upper one.
+    (id - S_{i_j}) v); for p = 1 this is just (id - S_{i_1}) v. Before
+    anything is written, S_i S_j is compared with S_j S_i for every pair
+    i < j in combinations order, and the first pair that differs is
+    raised as NonCommuting; these are the only products build takes.
+    Commutation makes consecutive boundaries compose to zero: column
+    block (i, j) of d_1 d_2 is S_j S_i - S_i S_j, and the higher
+    composites vanish by the sign rule. The endomorphisms are stored as
+    they are given and the boundaries are written from their rows.
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
@@ -94,6 +93,9 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     if m is not None and m != m0:
         raise DimensionMismatch(f"m={m} disagrees with endomorphism size {m0}")
 
+    for i, j in combinations(range(k), 2):
+        if endos[i] @ endos[j] != endos[j] @ endos[i]:
+            raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
     diffs = [_diff_rows(s) for s in endos]
     boundaries = []
     for p in range(1, k + 1):
@@ -115,16 +117,6 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
                 rows.append(row)
         boundaries.append(IntMatrix._wrap(rows, len(col_index) * m0))
 
-    for p in range(2, k + 1):
-        composite = boundaries[p - 2] @ boundaries[p - 1]
-        bad = min((c for row in composite.data for c in row), default=None)
-        if bad is not None and p == 2:
-            i, j = list(combinations(range(k), 2))[bad // m0]
-            raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
-        if bad is not None:
-            raise BrokenComplex(
-                f"boundaries in degrees {p - 1} and {p} do not compose to zero"
-            )
     return KoszulComplex(k, m0, endos, tuple(boundaries))
 
 

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -192,67 +193,107 @@ def test_build_matches_the_dense_assembly_in_every_degree():
     assert ranks == {1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("k, q", [(3, 3), (4, 3), (4, 4)])
-def test_slipped_assembly_names_the_degrees_of_the_dense_composite(monkeypatch, k, q):
-    # the row blocks of the degree-q boundary listed in reverse: build must
-    # raise BrokenComplex for the first degree whose dense composite is not 0
-    real = koszul.combinations
-    calls = []
+def _slip(q):
+    """koszul.combinations with the row blocks of the degree-q boundary
+    listed in reverse: the (q - 1)-subsets listed right after the
+    q-subsets, wherever build's other listings (the pairs of the
+    commutation check among them) fall."""
+    real = combinations
+    last = [None]
 
     def slipped(items, r):
         out = list(real(items, r))
-        if r == q - 1:
-            calls.append(r)
-            if len(calls) == 2:
-                out.reverse()
+        if r == q - 1 and last[0] == q:
+            out.reverse()
+        last[0] = r
         return out
 
+    return slipped
+
+
+def _first_bad_composite(boundaries):
+    """First degree p whose composite d_(p-1) d_p is not zero, or None."""
+    return next((p for p in range(2, len(boundaries) + 1)
+                 if not (boundaries[p - 2] @ boundaries[p - 1]).is_zero()), None)
+
+
+def _reversed_row_blocks(d, m):
+    rows = d.to_rows()
+    blocks = [rows[i:i + m] for i in range(0, len(rows), m)]
+    return IntMatrix.from_rows(sum(blocks[::-1], []), cols=d.cols)
+
+
+def _complex_net_on(monkeypatch, families):
+    """Run checks.complex_net with one case per given rank-3 family."""
+    class Rank3(random.Random):
+        def randint(self, a, b):  # complex_net's rank draw
+            return 3 if (a, b) == (1, 3) else super().randint(a, b)
+
+    queue = list(families)
+    monkeypatch.setattr(checks, "_random_commuting_family", lambda rng, k, m: queue.pop(0))
+    return checks.complex_net(Rank3(0), len(families))
+
+
+@pytest.mark.parametrize("k, q", [(3, 3), (4, 3), (4, 4)])
+def test_slipped_assembly_names_the_degrees_of_the_dense_composite(monkeypatch, k, q):
+    # build no longer composes its boundaries, so a slip in the assembly is
+    # caught where the assembly is checked: for k <= 3 by complex_net's
+    # d o d test, which names the first degree whose dense composite is not
+    # 0, and for k = 4 by the comparison with the dense assembly, which
+    # names degree q
     rng = random.Random(f"slip/{k}/{q}")
-    tested = 0
-    while tested < 10:
+    families = []
+    while len(families) < 10:
         fam = checks._random_commuting_family(rng, k, rng.randint(1, 3))
         dense = _dense_boundaries(fam)
-        m = fam[0].rows
-        rows = dense[q - 1].to_rows()
-        blocks = [rows[i:i + m] for i in range(0, len(rows), m)]
-        dense[q - 1] = IntMatrix.from_rows(sum(blocks[::-1], []), cols=dense[q - 1].cols)
-        bad = next((p for p in range(2, k + 1)
-                    if not (dense[p - 2] @ dense[p - 1]).is_zero()), None)
-        if bad is None:
-            continue
-        calls.clear()
-        monkeypatch.setattr(koszul, "combinations", slipped)
-        with pytest.raises(BrokenComplex) as exc:
-            build(k, fam)
-        monkeypatch.setattr(koszul, "combinations", real)
-        assert str(exc.value) == (
-            f"boundaries in degrees {bad - 1} and {bad} do not compose to zero")
-        tested += 1
+        dense[q - 1] = _reversed_row_blocks(dense[q - 1], fam[0].rows)
+        if _first_bad_composite(dense) is not None:
+            families.append((fam, dense))
+    monkeypatch.setattr(koszul, "combinations", _slip(q))
+    if k <= 3:
+        out = _complex_net_on(monkeypatch, [fam for fam, _ in families])
+        for idx, (_, dense) in enumerate(families):
+            assert (f"case {idx}: boundary composition nonzero at "
+                    f"{_first_bad_composite(dense)}") in out.failures
+        return
+    for fam, dense in families:
+        c = build(k, fam)
+        built = [c.boundary(p) for p in range(1, k + 1)]
+        assert built == dense
+        assert [p for p, d in enumerate(_dense_boundaries(fam), 1)
+                if d != built[p - 1]] == [q]
 
 
 def test_degree3_composite_guards_the_assembly(monkeypatch):
     # simulate an indexing slip: the degree-3 boundary lists its rows (the
-    # 2-subsets) in reverse, so d_1 d_2 = 0 but d_2 d_3 != 0
-    real = koszul.combinations
-    pair_calls = []
-
-    def slipped(items, r):
-        out = list(real(items, r))
-        if r == 2:
-            pair_calls.append(r)
-            if len(pair_calls) == 2:
-                out.reverse()
-        return out
-
+    # 2-subsets) in reverse, so d_1 d_2 = 0 but d_2 d_3 != 0; build takes no
+    # composite, and complex_net's d o d test reports degree 3
     # the diagonal family's boundaries split into one block per base
     # coordinate, a second support pattern for the same check
     split = [IntMatrix.from_rows([[a, 0], [0, b]]) for a, b in ((2, 7), (3, 11), (5, 13))]
     assert len(_blocks(build(3, split).boundaries[2].data)) == 2
-    monkeypatch.setattr(koszul, "combinations", slipped)
-    for family in (one_by_one(2, 3, 5), split):
-        pair_calls.clear()
-        with pytest.raises(BrokenComplex, match="degrees 2 and 3"):
-            build(3, family)
+    monkeypatch.setattr(koszul, "combinations", _slip(3))
+    out = _complex_net_on(monkeypatch, [one_by_one(2, 3, 5), split])
+    for idx in range(2):
+        assert f"case {idx}: boundary composition nonzero at 3" in out.failures
+    assert not any("nonzero at 2" in f for f in out.failures)
+
+
+def test_build_multiplies_only_the_endomorphism_pairs(monkeypatch):
+    # commutation is checked on the m x m endomorphisms, two products per
+    # pair; no boundary composite is taken
+    real = IntMatrix.__matmul__
+    shapes = []
+
+    def recorded(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    rng = random.Random("products")
+    fam = checks._random_commuting_family(rng, 4, 3)
+    monkeypatch.setattr(IntMatrix, "__matmul__", recorded)
+    build(4, fam)
+    assert shapes == [((3, 3), (3, 3))] * (2 * comb(4, 2))
 
 
 def test_rank0_needs_explicit_dimension():
@@ -342,6 +383,16 @@ def test_broken_hand_built_complex_is_refused():
     ))
     with pytest.raises(BrokenComplex):
         homology(c)
+
+
+def test_euler_guard_refuses_a_boundary_with_extra_rows():
+    # boundary(1) has two rows where the degree-0 chain group has rank 1:
+    # every free rank is non-negative, but H_0 = Z and H_1 = 0
+    c = KoszulComplex(1, 1, (IntMatrix.identity(1),), (IntMatrix.from_rows([[1], [0]]),))
+    with pytest.raises(BrokenComplex) as exc:
+        homology(c)
+    assert type(exc.value) is BrokenComplex
+    assert str(exc.value) == "alternating sum of homology free ranks is nonzero"
 
 
 def _kernel_solve_cokernel(c):

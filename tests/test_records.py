@@ -16,6 +16,8 @@ from groupoid_homology.kgraph import (
     KTheoryResult,
     hk_report,
     ktheory,
+    single_vertex_closed_form,
+    single_vertex_skeleton,
 )
 from groupoid_homology.koszul import KoszulComplex, build
 
@@ -192,6 +194,20 @@ def test_constructors_normalise():
                  "bad shape (-2, 3)", id="zeros-negative-rows"),
     pytest.param(lambda: IntMatrix.zeros(2, -3), DimensionMismatch,
                  "bad shape (2, -3)", id="zeros-negative-cols"),
+    # entries, rows and edge counts are a list or tuple too: a set would be
+    # read in hash order ([[3, 5]] from {5, 3}) or collapse a repeated count
+    *[pytest.param(lambda e=e: IntMatrix(1, 2, e()), TypeError,
+                   f"entries is a {kind}, not a list or tuple", id=f"IntMatrix-{kind}-entries")
+      for kind, e in [("set", lambda: {5, 3}), ("str", lambda: "53"),
+                      ("generator", lambda: (x for x in (5, 3)))]],
+    pytest.param(lambda: IntMatrix.from_rows([[1, 2], {5, 3}]), TypeError,
+                 "row 1 is a set, not a list or tuple", id="from_rows-set-row"),
+    *[pytest.param(lambda r=r: IntMatrix.from_rows(r()), TypeError,
+                   f"rows is a {kind}, not a list or tuple", id=f"from_rows-{kind}-rows")
+      for kind, r in [("set", lambda: {(5, 3)}), ("generator", lambda: (r for r in [[5, 3]]))]],
+    *[pytest.param(lambda f=f: f({3, 3}), TypeError, "edge_counts is a set, not a list or tuple",
+                   id=f"{f.__name__}-set-counts")
+      for f in (single_vertex_closed_form, single_vertex_skeleton)],
 ])
 def test_constructor_errors_keep_type_and_text(make, exc, text):
     with pytest.raises(exc) as info:
