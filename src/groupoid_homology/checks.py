@@ -186,9 +186,10 @@ def complex_net(rng: random.Random, cases: int) -> NetResult:
     """Boundary composition, Euler characteristic, and shift identities.
 
     For every sampled complex: consecutive boundaries compose to zero
-    (the run-time check of build's assembly); homology free ranks have
-    alternating sum 0; and for every kernel-basis cycle in every degree
-    and endomorphism index, the shifted cycle differs by a boundary.
+    (the run-time check of KoszulComplex.boundary's assembly); homology
+    free ranks have alternating sum 0; and for every kernel-basis cycle
+    in every degree and endomorphism index, the shifted cycle differs by
+    a boundary.
     """
     out = NetResult("complex", cases)
     for idx in range(cases):

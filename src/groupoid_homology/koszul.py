@@ -9,13 +9,13 @@ alternating sign. Homology of this complex is what the rest of the
 package computes for groupoid presentations.
 
 Endomorphisms and boundaries are IntMatrix, which keeps the
-{col: value} rows of its nonzeros: build checks that the endomorphisms
-it is given commute, writes the rows of the blocks +-(id - S_i) from
-their rows, and homology hands the stored boundaries to cokernel as
-they are. Commutation makes d o d = 0 (Eisenbud, Commutative Algebra,
-section 17.2), so no boundary composite is taken. A column of the
-degree-p boundary holds the nonzeros of p such blocks, at most 2p for
-a Z^k action by permutations.
+{col: value} rows of its nonzeros. A complex stores its endomorphisms
+only, and build checks that they commute; boundary(p) writes the rows
+of the blocks +-(id - S_i) from theirs each time it is asked, and
+homology drops each boundary after its cokernel. Commutation makes
+d o d = 0 (Eisenbud, Commutative Algebra, section 17.2), so no boundary
+composite is taken. A column of the degree-p boundary holds the
+nonzeros of p such blocks, at most 2p for a Z^k action by permutations.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from .exact_linalg import IntMatrix, cokernel
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
 
-class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
-    """The assembled complex: endomorphisms plus stored boundaries.
+class KoszulComplex(namedtuple("KoszulComplex", "k m endos")):
+    """The complex of k endomorphisms of Z^m, stored as them alone.
 
-    k and m are ints, endos a tuple of k m x m IntMatrix, and
-    boundaries[p - 1] the degree-p boundary for 1 <= p <= k, an
-    IntMatrix mapping Z^(C(k,p) * m) -> Z^(C(k,p-1) * m).
+    k and m are ints and endos a tuple of k m x m IntMatrix; boundary(p)
+    writes the degree-p boundary from them each time it is called.
     """
 
     __slots__ = ()
@@ -48,9 +47,32 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
         return comb(self.k, p) * self.m
 
     def boundary(self, p: int) -> IntMatrix:
-        """Boundary map out of degree p; zero maps close both ends."""
+        """Boundary map out of degree p; zero maps close both ends.
+
+        The degree-p boundary sends a generator (i_1 < ... < i_p, v) to
+        the sum over j of (-1)^(j+1) (i_1 .. i_p with i_j removed,
+        (id - S_{i_j}) v), Z^(C(k,p) * m) -> Z^(C(k,p-1) * m).
+        """
         if 1 <= p <= self.k:
-            return self.boundaries[p - 1]
+            k, m = self.k, self.m
+            diffs = [_diff_rows(s) for s in self.endos]
+            col_index = {t: ci for ci, t in enumerate(combinations(range(k), p))}
+            rows = []
+            for rest in combinations(range(k), p - 1):
+                # one block per index i added to rest, at position jj of t
+                blocks = []
+                for i in range(k):
+                    if i not in rest:
+                        t = tuple(sorted((*rest, i)))
+                        jj = t.index(i)
+                        blocks.append((col_index[t] * m, diffs[i][jj % 2]))
+                for r in range(m):
+                    row = {}
+                    for off, blk in blocks:
+                        for c, x in blk[r].items():
+                            row[off + c] = x
+                    rows.append(row)
+            return IntMatrix._wrap(rows, len(col_index) * m)
         if p == 0:
             return IntMatrix.zeros(0, self.dim(0))
         if p == self.k + 1:
@@ -59,18 +81,15 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos boundaries")):
 
 
 def build(k: int, endos, m: int | None = None) -> KoszulComplex:
-    """Assemble the complex for commuting endomorphisms of Z^m.
+    """The complex of k commuting m x m endomorphisms, checked.
 
-    The degree-p boundary sends a generator (i_1 < ... < i_p, v) to the
-    sum over j of (-1)^(j+1) times (i_1 .. i_p with i_j removed,
-    (id - S_{i_j}) v); for p = 1 this is just (id - S_{i_1}) v. Before
-    anything is written, S_i S_j is compared with S_j S_i for every pair
-    i < j in combinations order, and the first pair that differs is
-    raised as NonCommuting; these are the only products build takes.
-    Commutation makes consecutive boundaries compose to zero: column
-    block (i, j) of d_1 d_2 is S_j S_i - S_i S_j, and the higher
-    composites vanish by the sign rule. The endomorphisms are stored as
-    they are given and the boundaries are written from their rows.
+    S_i S_j is compared with S_j S_i for every pair i < j in combinations
+    order, and the first pair that differs is raised as NonCommuting;
+    these are the only products build takes. Commutation makes
+    consecutive boundaries compose to zero: column block (i, j) of
+    d_1 d_2 is S_j S_i - S_i S_j, and the higher composites vanish by
+    the sign rule. The endomorphisms are kept as they are given; no
+    boundary is written here.
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
@@ -83,7 +102,7 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     if k == 0:
         if m is None:
             raise DimensionMismatch("a rank-0 complex needs an explicit rank m")
-        return KoszulComplex(0, m, (), ())
+        return KoszulComplex(0, m, ())
     m0 = endos[0].rows
     for s in endos:
         if s.rows != s.cols or s.rows != m0:
@@ -96,28 +115,7 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     for i, j in combinations(range(k), 2):
         if endos[i] @ endos[j] != endos[j] @ endos[i]:
             raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
-    diffs = [_diff_rows(s) for s in endos]
-    boundaries = []
-    for p in range(1, k + 1):
-        col_index = {t: ci for ci, t in enumerate(combinations(range(k), p))}
-        rows = []
-        for rest in combinations(range(k), p - 1):
-            # one block per index i added to rest, at position jj of t
-            blocks = []
-            for i in range(k):
-                if i not in rest:
-                    t = tuple(sorted((*rest, i)))
-                    jj = t.index(i)
-                    blocks.append((col_index[t] * m0, diffs[i][jj % 2]))
-            for r in range(m0):
-                row = {}
-                for off, blk in blocks:
-                    for c, x in blk[r].items():
-                        row[off + c] = x
-                rows.append(row)
-        boundaries.append(IntMatrix._wrap(rows, len(col_index) * m0))
-
-    return KoszulComplex(k, m0, endos, tuple(boundaries))
+    return KoszulComplex(k, m0, endos)
 
 
 def _diff_rows(s: IntMatrix):
@@ -141,31 +139,28 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     invariant factors > 1 of the degree-(p+1) boundary (Munkres,
     Elements of Algebraic Topology, section 11): the kernel of a map
     between free modules is a direct summand, so all torsion of
-    Z^(n_p) / image sits inside kernel / image. Each boundary is
-    therefore reduced exactly once, with no transforms: the cokernel of
-    boundary(p + 1), the stored boundary or the n_k x 0 zero map above
-    the top, gives the torsion, already a chain, and n_p - r_{p+1}, and r_p is
-    carried over from the previous degree. A negative free rank can only
-    come from a hand-built complex whose boundaries do not compose to
-    zero, and raises BrokenComplex.
+    Z^(n_p) / image sits inside kernel / image. So d_1 .. d_k are each
+    written, reduced once with no transforms and dropped in turn: the
+    cokernel of d_{p+1} gives the torsion, already a chain, and
+    n_p - r_{p+1}, and r_p is carried over. Nothing bounds degree k, so
+    H_k = Z^(n_k - r_k), and no zero map is reduced. A negative free
+    rank can only come from a record built directly from endomorphisms
+    that do not commute, and raises BrokenComplex.
     """
     groups = []
     r_p = 0
-    for p in range(c.k + 1):
-        d = c.boundary(p + 1)
-        coker = cokernel(d)
+    for p in range(c.k):
+        coker = cokernel(c.boundary(p + 1))
         free = coker.free_rank - r_p
         if free < 0:
             raise BrokenComplex(
                 f"boundary ranks around degree {p} exceed the chain rank "
-                f"{d.rows}: the boundaries do not compose to zero"
+                f"{c.dim(p)}: the boundaries do not compose to zero"
             )
         groups.append(FgAbGroup(free, coker.torsion))
-        r_p = d.rows - coker.free_rank
-    profile = HomologyProfile(tuple(groups), c.k, notes)
-    if c.k >= 1 and profile.euler_characteristic() != 0:
-        raise BrokenComplex("alternating sum of homology free ranks is nonzero")
-    return profile
+        r_p = c.dim(p) - coker.free_rank
+    groups.append(FgAbGroup(c.dim(c.k) - r_p))
+    return HomologyProfile(tuple(groups), c.k, notes)
 
 
 def _as_column_matrix(vectors, n: int) -> IntMatrix:

@@ -81,8 +81,10 @@ def test_fields_and_defaults():
     assert (kt.k0, kt.k1, kt.method, kt.hk_status) == (Z, FgAbGroup(0), "conjectural-k>=3",
                                                         "conjectural")
     assert KTheoryResult(Z, Z, "rank2").hk_status == "verified-structurally"
-    c = KoszulComplex(k=1, m=1, endos=(ONE,), boundaries=(ONE,))
-    assert (c.k, c.m, c.endos, c.boundaries) == (1, 1, (ONE,), (ONE,))
+    c = KoszulComplex(k=1, m=1, endos=(ONE,))
+    assert (c.k, c.m, c.endos) == (1, 1, (ONE,))
+    assert KoszulComplex._fields == ("k", "m", "endos")
+    assert c.boundary(1) == IntMatrix.from_rows([[-1]])
     r = SnfResult(d=(1,), u=ONE, v=ONE, rank=1)
     assert (r.d, r.u, r.v, r.rank) == ((1,), ONE, ONE, 1)
     rep = HkReport(profile=HomologyProfile((Z, Z), 1), ktheory=kt, cubical=None,

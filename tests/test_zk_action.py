@@ -212,19 +212,20 @@ def test_torus_boundaries_leave_no_core_for_the_dense_reduction(monkeypatch):
     monkeypatch.setattr(exact_linalg, "_smithify", counting)
     c = to_koszul(torus(12))
     # both ranks are 143: Z^(144 - 143) and Z^(288 - 143), torsion-free
-    assert [cokernel(d) for d in c.boundaries] == [FgAbGroup(1, ()), FgAbGroup(145, ())]
+    assert [cokernel(c.boundary(p)) for p in (1, 2)] == [FgAbGroup(1, ()), FgAbGroup(145, ())]
     assert sum(cells) == 0
 
 
 def test_homology_of_a_split_action_reduces_each_boundary_once(monkeypatch):
     # perfbench's tracer reads a cokernel call's degree from its position
     # among the calls of one homology, so splitting a boundary into blocks
-    # must not add calls: exactly k + 1 for k generators
+    # must not add calls: exactly k for k generators, since nothing bounds
+    # the top degree
     a = ZkAction(7, ((1, 2, 0, 4, 3, 5, 6),
                      (2, 0, 1, 3, 4, 5, 6),
                      (0, 1, 2, 4, 3, 5, 6)))
     c = to_koszul(a)
-    assert len(_blocks(c.boundaries[0].data)) == 2
+    assert len(_blocks(c.boundary(1).data)) == 2
     oracle = orbit_oracle(a)
     shapes = []
     real = koszul.cokernel
@@ -235,7 +236,7 @@ def test_homology_of_a_split_action_reduces_each_boundary_once(monkeypatch):
 
     monkeypatch.setattr(koszul, "cokernel", counted)
     assert homology(c).groups == oracle.groups
-    assert shapes == [c.boundary(p).shape for p in range(1, 5)]
+    assert shapes == [c.boundary(p).shape for p in range(1, 4)]
 
 
 def test_homology_path_never_goes_dense(monkeypatch):
