@@ -81,13 +81,14 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
     free_rank is the rank of the free part; torsion is the invariant
     factor chain (each entry >= 2, each dividing the next). The
     constructor insists on canonical input; use from_orders to build
-    from an arbitrary bag of cyclic orders.
+    from an arbitrary bag of cyclic orders. Both take the orders as a
+    list or tuple, never a set, which would collapse a repeated order.
     """
 
     __slots__ = ()
 
     def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
-        free_rank, *torsion = _exact_ints((free_rank, *torsion))
+        free_rank, *torsion = _exact_ints((free_rank, *_list_or_tuple(torsion, "torsion")))
         torsion = tuple(torsion)
         if free_rank < 0:
             raise ValueError(f"free rank must be non-negative, got {free_rank}")
@@ -103,7 +104,7 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
     @classmethod
     def from_orders(cls, free_rank: int, orders=()) -> "FgAbGroup":
         """Build Z^free_rank plus the sum of cyclic groups of the given orders."""
-        return cls(free_rank, _divisibility_chain(orders))
+        return cls(free_rank, _divisibility_chain(_list_or_tuple(orders, "orders")))
 
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":

@@ -10,12 +10,13 @@ package computes for groupoid presentations.
 
 Endomorphisms and boundaries are IntMatrix, which keeps the
 {col: value} rows of its nonzeros. A complex stores its endomorphisms
-only, and build checks that they commute; boundary(p) writes the rows
-of the blocks +-(id - S_i) from theirs each time it is asked, and
-homology drops each boundary after its cokernel. Commutation makes
-d o d = 0 (Eisenbud, Commutative Algebra, section 17.2), so no boundary
-composite is taken. A column of the degree-p boundary holds the
-nonzeros of p such blocks, at most 2p for a Z^k action by permutations.
+only, and build checks that they commute; boundary(p) writes each
+block +-(id - S_i) straight from the rows of S_i each time it is
+asked, and homology drops each boundary after its cokernel.
+Commutation makes d o d = 0 (Eisenbud, Commutative Algebra, section
+17.2), so no boundary composite is taken. A column of the degree-p
+boundary holds the nonzeros of p such blocks, at most 2p for a Z^k
+action by permutations.
 """
 
 from __future__ import annotations
@@ -51,28 +52,30 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos")):
 
         The degree-p boundary sends a generator (i_1 < ... < i_p, v) to
         the sum over j of (-1)^(j+1) (i_1 .. i_p with i_j removed,
-        (id - S_{i_j}) v), Z^(C(k,p) * m) -> Z^(C(k,p-1) * m).
+        (id - S_{i_j}) v), Z^(C(k,p) * m) -> Z^(C(k,p-1) * m). Column
+        block t is written from the rows of each S_i, i in t, with the
+        identity and the sign in the same write; a 0 diagonal is left out.
         """
         if 1 <= p <= self.k:
             k, m = self.k, self.m
-            diffs = [_diff_rows(s) for s in self.endos]
-            col_index = {t: ci for ci, t in enumerate(combinations(range(k), p))}
-            rows = []
-            for rest in combinations(range(k), p - 1):
-                # one block per index i added to rest, at position jj of t
-                blocks = []
-                for i in range(k):
-                    if i not in rest:
-                        t = tuple(sorted((*rest, i)))
-                        jj = t.index(i)
-                        blocks.append((col_index[t] * m, diffs[i][jj % 2]))
-                for r in range(m):
-                    row = {}
-                    for off, blk in blocks:
-                        for c, x in blk[r].items():
-                            row[off + c] = x
-                    rows.append(row)
-            return IntMatrix._wrap(rows, len(col_index) * m)
+            cols = combinations(range(k), p)  # listed before the (p - 1)-subsets
+            row_at = {rest: b * m for b, rest in enumerate(combinations(range(k), p - 1))}
+            rows = [{} for _ in range(len(row_at) * m)]
+            for ci, t in enumerate(cols):
+                off = ci * m
+                for jj, i in enumerate(t):
+                    sign = -1 if jj % 2 else 1
+                    base = row_at[t[:jj] + t[jj + 1:]]
+                    for r, s_row in enumerate(self.endos[i].data):
+                        row = rows[base + r]
+                        for c, x in s_row.items():
+                            row[off + c] = -sign * x
+                        diag = row.get(off + r, 0) + sign
+                        if diag:
+                            row[off + r] = diag
+                        else:
+                            del row[off + r]
+            return IntMatrix._wrap(rows, self.dim(p))
         if p == 0:
             return IntMatrix.zeros(0, self.dim(0))
         if p == self.k + 1:
@@ -116,19 +119,6 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
         if endos[i] @ endos[j] != endos[j] @ endos[i]:
             raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
     return KoszulComplex(k, m0, endos)
-
-
-def _diff_rows(s: IntMatrix):
-    """Rows of id - s and of s - id, as {col: value} dicts of nonzeros."""
-    plus, minus = [], []
-    for r, row in enumerate(s.data):
-        d = {c: -x for c, x in row.items()}
-        d[r] = 1 - row.get(r, 0)
-        if not d[r]:
-            del d[r]
-        plus.append(d)
-        minus.append({c: -x for c, x in d.items()})
-    return plus, minus
 
 
 def homology(c: KoszulComplex, notes=()) -> HomologyProfile:

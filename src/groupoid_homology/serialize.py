@@ -71,6 +71,11 @@ def _parse_kgraph(obj: dict) -> KGraphSkeleton:
     for idx, v in enumerate(vertices):
         if not isinstance(v, str):
             raise SchemaError(f"vertices[{idx}]: expected a string, got {v!r}")
+        try:
+            v.encode()
+        except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
+            raise SchemaError(
+                f"vertices[{idx}]: label {v!r} cannot be written as UTF-8") from None
         if first.setdefault(v, idx) != idx:
             raise SchemaError(f"vertices[{idx}]: duplicate label {v!r}")
     n = len(vertices)

@@ -271,6 +271,25 @@ def test_deeply_nested_json_is_a_schema_failure(capsys, tmp_path, text):
         "type": "SchemaError", "message": f"{path}: JSON nested too deeply"}
 
 
+def test_label_that_is_not_utf8_is_a_schema_failure(tmp_path):
+    # "\ud800" parses to a lone surrogate, which no UTF-8 output can hold;
+    # it is refused before anything is written, so OUT is never created
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"kind": "kgraph", "k": 1, "vertices": ["v", "\\ud800"],'
+                    ' "matrices": [[2, 0, 0, 2]]}')
+    out_path = tmp_path / "out.json"
+    src = str(Path(groupoid_homology.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupoid_homology", "product", str(path), str(path),
+         "-o", str(out_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == {
+        "type": "SchemaError",
+        "message": "vertices[1]: label '\\ud800' cannot be written as UTF-8"}
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("entry, shown", [
     (2.5, "2.5"), (True, "True"), ("3", "'3'"), (None, "None"), ([1], "[1]"),
 ])

@@ -171,8 +171,8 @@ def test_dense_degree2_boundaries_match_build():
         assert _dense_boundaries(fam)[:2] == [c.boundary(1), c.boundary(2)]
 
 
-def _families_up_to_rank4():
-    """Commuting families of every kind the engine builds, k = 1 .. 4."""
+def _families_up_to_rank6():
+    """Commuting families of every kind the engine builds, k = 1 .. 6."""
     rng = random.Random("sparse-vs-dense")
     for _ in range(40):
         k = rng.randint(1, 4)
@@ -183,15 +183,39 @@ def _families_up_to_rank4():
     for _ in range(20):
         a = _random_action(rng, max_k=4)
         yield [dr_finite._perm_matrix(p, a.points) for p in a.perms]
+    # one-vertex families of rank 5 and 6; an edge count of 1 makes a whole
+    # block id - S_i vanish
+    for k in (5, 5, 6, 6):
+        yield one_by_one(*(rng.choice((-2, 0, 1, 2, 3)) for _ in range(k)))
+
+
+def _records_of_any_endomorphisms():
+    """Records built directly from endomorphisms drawn with no regard to
+    commutation, identities among them so that whole diagonals cancel."""
+    rng = random.Random("direct-records")
+    for _ in range(40):
+        k, m = rng.randint(1, 5), rng.randint(1, 3)
+        yield KoszulComplex(k, m, tuple(
+            IntMatrix.identity(m) if rng.random() < 0.25
+            else checks._random_matrix(rng, m, m, -2, 2) for _ in range(k)))
 
 
 def test_build_matches_the_dense_assembly_in_every_degree():
     ranks = set()
-    for fam in _families_up_to_rank4():
+    for fam in _families_up_to_rank6():
         c = build(len(fam), fam)
         assert [c.boundary(p) for p in range(1, c.k + 1)] == _dense_boundaries(fam)
         ranks.add(c.k)
-    assert ranks == {1, 2, 3, 4}
+    assert ranks == {1, 2, 3, 4, 5, 6}
+    # boundary(p) follows the sign rule for any endomorphisms, which the
+    # BrokenComplex guard of homology relies on; equal rows also mean that
+    # no 0 is stored
+    non_commuting = 0
+    for c in _records_of_any_endomorphisms():
+        assert [c.boundary(p) for p in range(1, c.k + 1)] == _dense_boundaries(list(c.endos))
+        non_commuting += any(c.endos[i] @ c.endos[j] != c.endos[j] @ c.endos[i]
+                             for i, j in combinations(range(c.k), 2))
+    assert non_commuting >= 20
 
 
 def _slip(q):

@@ -210,6 +210,17 @@ def test_constructors_normalise():
     *[pytest.param(lambda f=f: f({3, 3}), TypeError, "edge_counts is a set, not a list or tuple",
                    id=f"{f.__name__}-set-counts")
       for f in (single_vertex_closed_form, single_vertex_skeleton)],
+    # so are a group's torsion and orders: {2, 2} would give Z_2 where [2, 2]
+    # gives Z_2 (+) Z_2, a dict would pass its keys, and {8, 2} would be a
+    # chain or not by hash order
+    *[pytest.param(lambda t=t: FgAbGroup(0, t()), TypeError,
+                   f"torsion is a {kind}, not a list or tuple", id=f"FgAbGroup-{kind}-torsion")
+      for kind, t in [("set", lambda: {2, 6}), ("dict", lambda: {2: "a", 6: "b"}),
+                      ("generator", lambda: (x for x in (2, 6)))]],
+    *[pytest.param(lambda o=o: FgAbGroup.from_orders(0, o()), TypeError,
+                   f"orders is a {kind}, not a list or tuple", id=f"from_orders-{kind}-orders")
+      for kind, o in [("set", lambda: {2, 2}), ("dict", lambda: {3: "a", 2: "b"}),
+                      ("str", lambda: "22"), ("generator", lambda: (x for x in (2, 2)))]],
 ])
 def test_constructor_errors_keep_type_and_text(make, exc, text):
     with pytest.raises(exc) as info:
