@@ -160,15 +160,15 @@ def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
     """Homology groups of a length-k complex: exactly k + 1 entries.
 
-    groups[p] is H_p, an FgAbGroup; k is an exact int, as IntMatrix
-    entries are. notes, a list or tuple, carries free-text provenance
-    lines that the command-line tools surface verbatim.
+    groups[p] is H_p, an FgAbGroup, and k an exact int; groups and notes
+    (free-text provenance lines that the command-line tools surface
+    verbatim) are each a list or tuple, never a set in hash order.
     """
 
     __slots__ = ()
 
     def __new__(cls, groups, k: int, notes=()):
-        groups = tuple(groups)
+        groups = tuple(_list_or_tuple(groups, "groups"))
         (k,) = _exact_ints((k,))
         notes = _list_or_tuple(notes, "notes")
         for p, g in enumerate(groups):

@@ -36,10 +36,10 @@ class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sourc
 
     Construction checks that vertices and matrices are each a list or
     tuple, so no string is split into labels and no set is read in hash
-    order, that every matrix is an IntMatrix, shapes, and that the
-    labels, as strings, are distinct (a repeat raises SkeletonInvalid
-    naming it); semantic requirements (entries non-negative, matrices
-    commuting, no zero rows) are findings reported by validate.
+    order, that every matrix is an IntMatrix, and shapes. It holds the
+    label rules: as strings, labels can be written as UTF-8 (not
+    "\\ud800") and are distinct, or SkeletonInvalid names the bad one.
+    Non-negative entries, commutation and no zero rows are left to validate.
     """
 
     __slots__ = ()
@@ -52,6 +52,11 @@ class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sourc
             raise DimensionMismatch("a skeleton needs at least one vertex")
         first = {}
         for j, v in enumerate(vertices):
+            try:
+                v.encode()
+            except UnicodeEncodeError:
+                raise SkeletonInvalid(
+                    [f"vertices[{j}]: label {v!r} cannot be written as UTF-8"]) from None
             if first.setdefault(v, j) != j:
                 raise SkeletonInvalid([f"vertices[{j}]: duplicate label {v!r}"])
         if not matrices:

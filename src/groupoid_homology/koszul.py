@@ -25,7 +25,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb, prod
 
-from .abelian import FgAbGroup, HomologyProfile, _exact_ints
+from .abelian import FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple
 from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
 from .exact_linalg import IntMatrix, cokernel
 # unused here, but perfbench/tracing.py wraps these two at this module by name
@@ -91,15 +91,15 @@ def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     these are the only products build takes. Commutation makes
     consecutive boundaries compose to zero: column block (i, j) of
     d_1 d_2 is S_j S_i - S_i S_j, and the higher composites vanish by
-    the sign rule. The endomorphisms are kept as they are given; no
-    boundary is written here.
+    the sign rule. The endomorphisms, a list or tuple (never a set in
+    hash order), are kept as given; no boundary is written here.
 
     k = 0 is allowed and gives the bare module Z^m with no boundaries;
     m must then be passed explicitly.
     """
     k = _exact_ints([k])[0]
     m = None if m is None else _exact_ints([m])[0]
-    endos = tuple(endos)
+    endos = tuple(_list_or_tuple(endos, "endos"))
     if len(endos) != k:
         raise DimensionMismatch(f"expected {k} endomorphisms, got {len(endos)}")
     if k == 0:
@@ -153,25 +153,15 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     return HomologyProfile(tuple(groups), c.k, notes)
 
 
-def _as_column_matrix(vectors, n: int) -> IntMatrix:
-    cols = []
-    for z in vectors:
-        z = _exact_ints(z)
-        if len(z) != n:
-            raise DimensionMismatch(f"cycle has length {len(z)}, expected {n}")
-        cols.append(z)
-    return IntMatrix.from_rows(cols, cols=n).transpose()
-
-
 def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool:
     """Check that base-shifting cycles by S_i only moves them by boundaries.
 
-    Each element of cycles must be a degree-`degree` cycle z, given as a
-    flat integer vector (NotACycle otherwise). The check applies S_i to
-    every base block of z and asks whether (id (x) S_i) z - z lies in
-    the integer column span of the next boundary; True means it does for
-    all of the given cycles. The degree is explicit because different
-    degrees can share the same chain rank.
+    cycles and each cycle z in it are lists or tuples, read as rows by
+    IntMatrix.from_rows; z is a degree-`degree` cycle of exact ints
+    (NotACycle otherwise), and i and degree are exact ints. The check
+    applies S_i to every base block of z and asks whether
+    (id (x) S_i) z - z lies in the integer column span of the next
+    boundary, for every z; degree is explicit, as degrees share chain ranks.
 
     Membership is decided without transforms, by two cokernels: the
     span of A is contained in the span of [A | B], and the two are equal
@@ -180,12 +170,12 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     saturation, and that product is the index of a lattice in its
     saturation.
     """
-    p = _exact_ints([degree])[0]
+    i, p = _exact_ints([i, degree])
     if not 0 <= p <= c.k:
         raise ValueError(f"degree {p} outside 0..{c.k}")
     if not 0 <= i < c.k:
         raise ValueError(f"endomorphism index {i} outside 0..{c.k - 1}")
-    Z = _as_column_matrix(cycles, c.dim(p))
+    Z = IntMatrix.from_rows(_list_or_tuple(cycles, "cycles"), cols=c.dim(p)).transpose()
     if Z.cols == 0:
         return True
     bad = min((j for row in (c.boundary(p) @ Z).data for j in row), default=None)

@@ -30,7 +30,7 @@ import sys
 
 from .abelian import FgAbGroup, HomologyProfile, _all_digits
 from .dr_finite import ZkAction
-from .errors import DimensionMismatch, SchemaError
+from .errors import DimensionMismatch, SchemaError, SkeletonInvalid
 from .exact_linalg import IntMatrix
 from .kgraph import KGraphSkeleton, KTheoryResult
 
@@ -67,17 +67,9 @@ def _parse_kgraph(obj: dict) -> KGraphSkeleton:
     vertices = _as_list(_require_key(obj, "vertices"), "vertices")
     if not vertices:
         raise SchemaError("vertices: need at least one vertex label")
-    first = {}
     for idx, v in enumerate(vertices):
         if not isinstance(v, str):
             raise SchemaError(f"vertices[{idx}]: expected a string, got {v!r}")
-        try:
-            v.encode()
-        except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
-            raise SchemaError(
-                f"vertices[{idx}]: label {v!r} cannot be written as UTF-8") from None
-        if first.setdefault(v, idx) != idx:
-            raise SchemaError(f"vertices[{idx}]: duplicate label {v!r}")
     n = len(vertices)
     matrices = _as_list(_require_key(obj, "matrices"), "matrices")
     if len(matrices) != k:
@@ -102,7 +94,11 @@ def _parse_kgraph(obj: dict) -> KGraphSkeleton:
         raise SchemaError(
             f"allow_sources: expected true or false, got {allow_sources!r}"
         )
-    return KGraphSkeleton(tuple(vertices), tuple(parsed), allow_sources)
+    # the record holds the label rules (UTF-8, no repeats); its finding is the message
+    try:
+        return KGraphSkeleton(tuple(vertices), tuple(parsed), allow_sources)
+    except SkeletonInvalid as e:
+        raise SchemaError(e.findings[0]) from None
 
 
 def _parse_zk_action(obj: dict) -> ZkAction:

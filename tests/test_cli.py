@@ -1,6 +1,8 @@
+import copy
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import groupoid_homology
-from groupoid_homology import checks, cli, errors
+from groupoid_homology import checks, cli, errors, serialize
 from groupoid_homology.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -361,6 +363,12 @@ ZK = {"kind": "zk_action", "k": 1, "points": 3}
     # with no points an empty object or string is still not an image list
     ({**ZK, "points": 0, "permutations": [{}]}, "permutations[0]: expected a list, got dict"),
     ({**ZK, "points": 0, "permutations": [""]}, "permutations[0]: expected a list, got str"),
+    # the label rules are KGraphSkeleton's; the parser passes its finding on
+    ({**TWO_VERTEX, "vertices": ["v", "\ud800"]},
+     "vertices[1]: label '\\ud800' cannot be written as UTF-8"),
+    # they run when the record is made, so a bad matrix is named first
+    ({**TWO_VERTEX, "vertices": ["v", "v"], "matrices": [[5, 2, 2]]},
+     "matrices[0]: expected 4 row-major entries for 2 vertices, got 3"),
 ])
 def test_schema_failures_name_their_field(capsys, tmp_path, instance, message):
     rc, out, err = run(capsys, ["homology", write(tmp_path, "i.json", instance)])
@@ -459,6 +467,85 @@ def test_every_error_type_exits_with_its_documented_code(capsys, monkeypatch, ex
         assert payload["findings"] == ["first finding", "second"]
     else:
         assert "findings" not in payload
+
+
+# --- hostile input -------------------------------------------------------------
+
+HOSTILE_ATOMS = [0, 1, -1, 10**30, -10**30, 1.5, True, None, "3", "", "\ud800", [], {},
+                 float("nan"), 1e308]
+HOSTILE_SEEDS = [
+    TWO_VERTEX, RANK2, RANK3, ACTION,
+    {"kind": "kgraph", "k": 2, "vertices": ["a", "b", "c"], "allow_sources": False,
+     "matrices": [[0, 1, 1, 1, 0, 1, 1, 1, 0], [1, 2, 2, 2, 1, 2, 2, 2, 1]]},
+    {"kind": "zk_action", "k": 2, "points": 6,
+     "permutations": [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]]},
+]
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key in value if isinstance(value, dict) else range(len(value)):
+            yield from _paths(value[key], path + (key,))
+
+
+def _mutate(rng, instance):
+    """A copy of instance with one seeded change at a node drawn from all of
+    its nodes: an atom in place of it, a dropped key, an append or a pop."""
+    root = [copy.deepcopy(instance)]
+    parent, key = root, 0
+    for step in rng.choice(list(_paths(root[0]))):
+        parent, key = parent[key], step
+    value = parent[key]
+    move = rng.choice(["atom", "drop", "append", "pop"])
+    if move == "drop" and isinstance(value, dict) and value:
+        del value[rng.choice(list(value))]
+    elif move == "append" and isinstance(value, list):
+        value.append(copy.deepcopy(rng.choice(HOSTILE_ATOMS + value)))
+    elif move == "pop" and isinstance(value, list) and value:
+        value.pop()
+    else:
+        parent[key] = rng.choice(HOSTILE_ATOMS)
+    return root[0]
+
+
+def test_seeded_hostile_inputs_exit_cleanly(capsys, tmp_path):
+    # 2,000 mutated instances through every reading command: only the
+    # package's own errors may leave a command, each with its exit code,
+    # and all that is printed or written back can be encoded as UTF-8
+    rng = random.Random(11)
+    good = write(tmp_path, "good.json", TWO_VERTEX)
+    path = str(tmp_path / "hostile.json")
+    commands = [["validate", path], ["homology", path], ["homology", path, "--text"],
+                ["ktheory", path], ["ktheory", path, "--allow-conjectural"],
+                ["cubical", path], ["hk-report", path], ["product", path, good]]
+    names = {c.__name__ for c in ERROR_CLASSES}
+    codes = set()
+    for case in range(2000):
+        instance = rng.choice(HOSTILE_SEEDS)
+        for _ in range(rng.choice([1, 1, 2])):
+            instance = _mutate(rng, instance)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(instance, fh)
+        argv = commands[case % len(commands)]
+        rc, out, err = run(capsys, argv)
+        where = f"case {case}: {argv[0]} on {instance!r}"
+        assert rc in (0, 1, 2, 3), where
+        out.encode("utf-8")
+        err.encode("utf-8")
+        if rc == 0 and "--text" not in argv:
+            json.loads(out)
+        if err:
+            assert json.loads(err)["error"]["type"] in names, where
+        codes.add(rc)
+        # whatever the parser accepts can be written back
+        try:
+            inst = serialize.load_instance(path)
+        except errors.SchemaError:
+            continue
+        serialize.dumps(serialize.instance_to_dict(inst)).encode("utf-8")
+    # the net reaches every outcome, not only the parser's refusals
+    assert codes == {0, 1, 2, 3}
 
 
 def test_conjectural_opt_in_unlocks_higher_rank(capsys, tmp_path):

@@ -19,10 +19,12 @@ from groupoid_homology.kgraph import (
     single_vertex_closed_form,
     single_vertex_skeleton,
 )
-from groupoid_homology.koszul import KoszulComplex, build
+from groupoid_homology.koszul import KoszulComplex, build, verify_shift_identity
 
 ONE = IntMatrix.from_rows([[2]])
 TWO = IntMatrix.from_rows([[1, 1], [0, 1]])
+THREE = IntMatrix.from_rows([[3]])
+FIVE = IntMatrix.from_rows([[5]])
 
 
 def _frozen_examples():
@@ -136,6 +138,11 @@ def test_constructors_normalise():
     # notes are a list or tuple of lines, never a string's characters
     pytest.param(lambda: HomologyProfile((Z,), 0, "closed form"), TypeError,
                  "notes is a str, not a list or tuple", id="HomologyProfile-str-notes"),
+    # groups, like notes, are a list or tuple: a set would order H_p by hash
+    *[pytest.param(lambda g=g: HomologyProfile(g(), 1), TypeError,
+                   f"groups is a {kind}, not a list or tuple", id=f"HomologyProfile-{kind}-groups")
+      for kind, g in [("set", lambda: {Z, FgAbGroup(0, (2,))}),
+                      ("generator", lambda: (g for g in (Z, Z)))]],
     (lambda: ZkAction(-1, ()), DimensionMismatch, "negative point count -1"),
     (lambda: ZkAction(3, ((1, 0),)), DimensionMismatch,
      "permutation 0 has 2 images for 3 points"),
@@ -177,6 +184,10 @@ def test_constructors_normalise():
     # labels are compared after str(), so 0 and "0" collide
     pytest.param(lambda: KGraphSkeleton((0, "0"), (TWO,)), SkeletonInvalid,
                  "vertices[1]: duplicate label '0'", id="KGraphSkeleton-duplicate-label"),
+    # a label that no UTF-8 output can hold is refused where it is made
+    pytest.param(lambda: KGraphSkeleton(("\ud800",), (ONE,)), SkeletonInvalid,
+                 "vertices[0]: label '\\ud800' cannot be written as UTF-8",
+                 id="KGraphSkeleton-surrogate-label"),
     # a bool shape is refused, not read as 1; explicit ids keep the
     # FgAbGroup case's id above free of a numeric suffix
     pytest.param(lambda: IntMatrix(2, True, [1, 2]), TypeError,
@@ -207,6 +218,16 @@ def test_constructors_normalise():
     *[pytest.param(lambda r=r: IntMatrix.from_rows(r()), TypeError,
                    f"rows is a {kind}, not a list or tuple", id=f"from_rows-{kind}-rows")
       for kind, r in [("set", lambda: {(5, 3)}), ("generator", lambda: (r for r in [[5, 3]]))]],
+    # so are a complex's endomorphisms and the cycles checked on it
+    *[pytest.param(lambda e=e: build(2, e()), TypeError,
+                   f"endos is a {kind}, not a list or tuple", id=f"build-{kind}-endos")
+      for kind, e in [("set", lambda: {ONE, THREE}), ("generator", lambda: (x for x in (ONE, ONE)))]],
+    pytest.param(lambda: verify_shift_identity(build(1, [ONE]), 0, 0, (z for z in [[1]])),
+                 TypeError, "cycles is a generator, not a list or tuple",
+                 id="verify_shift_identity-generator-cycles"),
+    # the endomorphism index is an exact int, as the degree is: True is not 1
+    pytest.param(lambda: verify_shift_identity(build(2, [THREE, FIVE]), True, 1, [(2, -1)]),
+                 TypeError, "expected integers, got a bool", id="verify_shift_identity-bool-index"),
     *[pytest.param(lambda f=f: f({3, 3}), TypeError, "edge_counts is a set, not a list or tuple",
                    id=f"{f.__name__}-set-counts")
       for f in (single_vertex_closed_form, single_vertex_skeleton)],
