@@ -27,11 +27,10 @@ class NonCommuting(GroupoidHomologyError, ValueError):
 class BrokenComplex(GroupoidHomologyError, RuntimeError):
     """A chain-complex consistency check failed.
 
-    Raised by koszul.homology on a KoszulComplex record built directly
-    from endomorphisms that do not commute, which build refuses, so its
-    boundaries do not compose to zero; by kgraph.cubical_homology_rank1
-    and by the ghom single-vertex cross-check. On a complex that build
-    made it is a bug: commutation makes d o d = 0.
+    Raised by kgraph.cubical_homology_rank1 and by the ghom
+    single-vertex cross-check; either is a bug. koszul never raises it:
+    a KoszulComplex refuses non-commuting endomorphisms when it is made
+    (NonCommuting), and commutation makes d o d = 0.
     """
 
 

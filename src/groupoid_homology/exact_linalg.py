@@ -40,7 +40,7 @@ from contextvars import ContextVar
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import add, index, mul, sub
+from operator import add, mul, sub
 
 from .abelian import FgAbGroup, _exact_ints, _list_or_tuple
 from .errors import DimensionMismatch, NoIntegerSolution
@@ -159,9 +159,10 @@ class IntMatrix:
 
     def __getitem__(self, key) -> int:
         """Entry (i, j) by Python's index rules: negative indices count
-        from the end, and an index out of range raises IndexError."""
-        i, j = key
-        return self.data[i].get(range(self.cols)[index(j)], 0)
+        from the end, and an index out of range raises IndexError. Both
+        are exact ints, so a bool is a TypeError as in True * m."""
+        i, j = _exact_ints(key)
+        return self.data[i].get(range(self.cols)[j], 0)
 
     def to_rows(self) -> list[list[int]]:
         out = []

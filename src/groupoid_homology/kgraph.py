@@ -151,13 +151,22 @@ def _homology_of_valid(s: KGraphSkeleton) -> HomologyProfile:
 class KTheoryResult(namedtuple("KTheoryResult", "k0 k1 method")):
     """K_0 and K_1 (FgAbGroup each) of the groupoid C*-algebra, with provenance.
 
-    method records which wiring produced the answer: "rank1" and
-    "rank2" are backed by structural results; "conjectural-k>=3"
-    extrapolates the even/odd homology pattern. hk_status is derived
-    from method, so the two cannot disagree.
+    method records which wiring produced the answer, one of METHODS:
+    "rank1" and "rank2" are backed by structural results;
+    "conjectural-k>=3" extrapolates the even/odd homology pattern.
+    hk_status is derived from method, so the two cannot disagree.
     """
 
     __slots__ = ()
+    METHODS = ("rank1", "rank2", "conjectural-k>=3")
+
+    def __new__(cls, k0, k1, method):
+        for name, g in (("k0", k0), ("k1", k1)):
+            if not isinstance(g, FgAbGroup):
+                raise TypeError(f"{name} is a {type(g).__name__}, not an FgAbGroup")
+        if method not in cls.METHODS:
+            raise ValueError(f"method {method!r} is not one of {cls.METHODS}")
+        return super().__new__(cls, k0, k1, method)
 
     @property
     def hk_status(self) -> str:
@@ -317,12 +326,23 @@ class HkReport(namedtuple("HkReport", "profile ktheory cubical notes")):
     """Everything the hk-report command surfaces for one skeleton.
 
     profile is the HomologyProfile and ktheory the KTheoryResult. notes
-    carries the rendered comparison lines; for k = 1 the underlying-graph
-    homology is included as cubical (a HomologyProfile, else None) so the
-    two invariants can be read side by side.
+    carries the rendered comparison lines, a list or tuple kept as a
+    tuple; for k = 1 the underlying-graph homology is included as
+    cubical (a HomologyProfile, else None) so the two invariants can be
+    read side by side. Construction checks each of these.
     """
 
     __slots__ = ()
+
+    def __new__(cls, profile, ktheory, cubical, notes):
+        if not isinstance(profile, HomologyProfile):
+            raise TypeError(f"profile is a {type(profile).__name__}, not a HomologyProfile")
+        if not isinstance(ktheory, KTheoryResult):
+            raise TypeError(f"ktheory is a {type(ktheory).__name__}, not a KTheoryResult")
+        if not isinstance(cubical, (HomologyProfile, type(None))):
+            raise TypeError(f"cubical is a {type(cubical).__name__}, not a HomologyProfile or None")
+        return super().__new__(cls, profile, ktheory, cubical,
+                               tuple(_list_or_tuple(notes, "notes")))
 
 
 def hk_report(s: KGraphSkeleton) -> HkReport:
@@ -356,4 +376,4 @@ def hk_report(s: KGraphSkeleton) -> HkReport:
                 f"H_{p}: underlying graph {cubical.groups[p].describe()} vs "
                 f"groupoid {profile.groups[p].describe()}"
             )
-    return HkReport(profile, kt, cubical, tuple(notes))
+    return HkReport(profile, kt, cubical, notes)

@@ -10,7 +10,8 @@ package computes for groupoid presentations.
 
 Endomorphisms and boundaries are IntMatrix, which keeps the
 {col: value} rows of its nonzeros. A complex stores its endomorphisms
-only, and build checks that they commute; boundary(p) writes each
+only, and refuses them when it is made unless they commute, so no
+record holds a non-complex; boundary(p) writes each
 block +-(id - S_i) straight from the rows of S_i each time it is
 asked, and homology drops each boundary after its cokernel.
 Commutation makes d o d = 0 (Eisenbud, Commutative Algebra, section
@@ -26,23 +27,56 @@ from itertools import combinations
 from math import comb, prod
 
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple
-from .errors import BrokenComplex, DimensionMismatch, NonCommuting, NotACycle
+from .errors import DimensionMismatch, NonCommuting, NotACycle
 from .exact_linalg import IntMatrix, cokernel
 # unused here, but perfbench/tracing.py wraps these two at this module by name
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
 
 class KoszulComplex(namedtuple("KoszulComplex", "k m endos")):
-    """The complex of k endomorphisms of Z^m, stored as them alone.
+    """The complex of k commuting endomorphisms of Z^m, stored as them alone.
 
-    k and m are ints and endos a tuple of k m x m IntMatrix; boundary(p)
-    writes the degree-p boundary from them each time it is called.
+    Construction holds the complex's rules: k and m are exact ints, and
+    endos a list or tuple (never a set in hash order) of k m x m
+    IntMatrix, kept as given; m = None reads m from the first of them,
+    so k = 0 needs m >= 0 passed. S_i S_j is compared with S_j S_i for
+    every pair i < j in combinations order, the only products taken, and
+    the first pair that differs is raised as NonCommuting. Commutation
+    makes d o d = 0: column block (i, j) of d_1 d_2 is S_j S_i - S_i S_j,
+    and the higher composites vanish by the sign rule. boundary(p)
+    writes the degree-p boundary each time it is called.
     """
 
     __slots__ = ()
 
+    def __new__(cls, k: int, m: int | None, endos):
+        (k,) = _exact_ints([k])
+        m = None if m is None else _exact_ints([m])[0]
+        endos = tuple(_list_or_tuple(endos, "endos"))
+        if len(endos) != k:
+            raise DimensionMismatch(f"expected {k} endomorphisms, got {len(endos)}")
+        for i, s in enumerate(endos):
+            if not isinstance(s, IntMatrix):
+                raise TypeError(f"endos[{i}] is a {type(s).__name__}, not an IntMatrix")
+            if s.shape != (endos[0].rows,) * 2:
+                raise DimensionMismatch(
+                    f"endomorphisms must all be square of one size; got {s.shape}"
+                )
+        m0 = endos[0].rows if endos else m
+        if m0 is None:
+            raise DimensionMismatch("a rank-0 complex needs an explicit rank m")
+        if m is not None and m != m0:
+            raise DimensionMismatch(f"m={m} disagrees with endomorphism size {m0}")
+        if m0 < 0:
+            raise DimensionMismatch(f"negative module rank {m0}")
+        for i, j in combinations(range(k), 2):
+            if endos[i] @ endos[j] != endos[j] @ endos[i]:
+                raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
+        return super().__new__(cls, k, m0, endos)
+
     def dim(self, p: int) -> int:
-        """Rank of the degree-p chain group."""
+        """Rank of the degree-p chain group; p is an exact int."""
+        (p,) = _exact_ints([p])
         if not 0 <= p <= self.k:
             return 0
         return comb(self.k, p) * self.m
@@ -55,7 +89,9 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos")):
         (id - S_{i_j}) v), Z^(C(k,p) * m) -> Z^(C(k,p-1) * m). Column
         block t is written from the rows of each S_i, i in t, with the
         identity and the sign in the same write; a 0 diagonal is left out.
+        p is an exact int, so boundary(True) is a TypeError, not d_1.
         """
+        (p,) = _exact_ints([p])
         if 1 <= p <= self.k:
             k, m = self.k, self.m
             cols = combinations(range(k), p)  # listed before the (p - 1)-subsets
@@ -84,41 +120,11 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos")):
 
 
 def build(k: int, endos, m: int | None = None) -> KoszulComplex:
-    """The complex of k commuting m x m endomorphisms, checked.
-
-    S_i S_j is compared with S_j S_i for every pair i < j in combinations
-    order, and the first pair that differs is raised as NonCommuting;
-    these are the only products build takes. Commutation makes
-    consecutive boundaries compose to zero: column block (i, j) of
-    d_1 d_2 is S_j S_i - S_i S_j, and the higher composites vanish by
-    the sign rule. The endomorphisms, a list or tuple (never a set in
-    hash order), are kept as given; no boundary is written here.
-
-    k = 0 is allowed and gives the bare module Z^m with no boundaries;
-    m must then be passed explicitly.
+    """KoszulComplex(k, m, endos), with m read from the first endomorphism
+    unless it is passed; the record checks everything, commutation
+    included. k = 0 gives the bare module Z^m and needs m.
     """
-    k = _exact_ints([k])[0]
-    m = None if m is None else _exact_ints([m])[0]
-    endos = tuple(_list_or_tuple(endos, "endos"))
-    if len(endos) != k:
-        raise DimensionMismatch(f"expected {k} endomorphisms, got {len(endos)}")
-    if k == 0:
-        if m is None:
-            raise DimensionMismatch("a rank-0 complex needs an explicit rank m")
-        return KoszulComplex(0, m, ())
-    m0 = endos[0].rows
-    for s in endos:
-        if s.rows != s.cols or s.rows != m0:
-            raise DimensionMismatch(
-                f"endomorphisms must all be square of one size; got {s.shape}"
-            )
-    if m is not None and m != m0:
-        raise DimensionMismatch(f"m={m} disagrees with endomorphism size {m0}")
-
-    for i, j in combinations(range(k), 2):
-        if endos[i] @ endos[j] != endos[j] @ endos[i]:
-            raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
-    return KoszulComplex(k, m0, endos)
+    return KoszulComplex(k, m, endos)
 
 
 def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
@@ -133,21 +139,14 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     written, reduced once with no transforms and dropped in turn: the
     cokernel of d_{p+1} gives the torsion, already a chain, and
     n_p - r_{p+1}, and r_p is carried over. Nothing bounds degree k, so
-    H_k = Z^(n_k - r_k), and no zero map is reduced. A negative free
-    rank can only come from a record built directly from endomorphisms
-    that do not commute, and raises BrokenComplex.
+    H_k = Z^(n_k - r_k), and no zero map is reduced. Every record
+    commutes, so d o d = 0 and no free rank is negative.
     """
     groups = []
     r_p = 0
     for p in range(c.k):
         coker = cokernel(c.boundary(p + 1))
-        free = coker.free_rank - r_p
-        if free < 0:
-            raise BrokenComplex(
-                f"boundary ranks around degree {p} exceed the chain rank "
-                f"{c.dim(p)}: the boundaries do not compose to zero"
-            )
-        groups.append(FgAbGroup(free, coker.torsion))
+        groups.append(FgAbGroup(coker.free_rank - r_p, coker.torsion))
         r_p = c.dim(p) - coker.free_rank
     groups.append(FgAbGroup(c.dim(c.k) - r_p))
     return HomologyProfile(tuple(groups), c.k, notes)

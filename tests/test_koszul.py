@@ -11,7 +11,6 @@ from groupoid_homology import abelian, checks, dr_finite, koszul
 from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.dr_finite import ZkAction, to_koszul
 from groupoid_homology.errors import (
-    BrokenComplex,
     DimensionMismatch,
     NoIntegerSolution,
     NonCommuting,
@@ -24,7 +23,7 @@ from groupoid_homology.exact_linalg import (
     kernel_basis,
     solve_columns,
 )
-from groupoid_homology.kgraph import product
+from groupoid_homology.kgraph import KGraphSkeleton, product
 from groupoid_homology.koszul import (
     KoszulComplex,
     build,
@@ -189,33 +188,42 @@ def _families_up_to_rank6():
         yield one_by_one(*(rng.choice((-2, 0, 1, 2, 3)) for _ in range(k)))
 
 
-def _records_of_any_endomorphisms():
-    """Records built directly from endomorphisms drawn with no regard to
-    commutation, identities among them so that whole diagonals cancel."""
+def _any_endomorphisms():
+    """(k, m, endos) drawn with no regard to commutation, identities among
+    them so that whole diagonals cancel."""
     rng = random.Random("direct-records")
     for _ in range(40):
         k, m = rng.randint(1, 5), rng.randint(1, 3)
-        yield KoszulComplex(k, m, tuple(
+        yield k, m, tuple(
             IntMatrix.identity(m) if rng.random() < 0.25
-            else checks._random_matrix(rng, m, m, -2, 2) for _ in range(k)))
+            else checks._random_matrix(rng, m, m, -2, 2) for _ in range(k))
 
 
 def test_build_matches_the_dense_assembly_in_every_degree():
     ranks = set()
     for fam in _families_up_to_rank6():
         c = build(len(fam), fam)
+        assert KoszulComplex(c.k, fam[0].rows, fam) == c
         assert [c.boundary(p) for p in range(1, c.k + 1)] == _dense_boundaries(fam)
         ranks.add(c.k)
     assert ranks == {1, 2, 3, 4, 5, 6}
-    # boundary(p) follows the sign rule for any endomorphisms, which the
-    # BrokenComplex guard of homology relies on; equal rows also mean that
-    # no 0 is stored
-    non_commuting = 0
-    for c in _records_of_any_endomorphisms():
-        assert [c.boundary(p) for p in range(1, c.k + 1)] == _dense_boundaries(list(c.endos))
-        non_commuting += any(c.endos[i] @ c.endos[j] != c.endos[j] @ c.endos[i]
-                             for i, j in combinations(range(c.k), 2))
-    assert non_commuting >= 20
+    # the record refuses endomorphisms that do not commute, naming the first
+    # pair, so every record's boundaries compose to zero; those it accepts
+    # follow the sign rule, and equal rows also mean that no 0 is stored
+    refused = accepted = 0
+    for k, m, endos in _any_endomorphisms():
+        pairs = [(i, j) for i, j in combinations(range(k), 2)
+                 if endos[i] @ endos[j] != endos[j] @ endos[i]]
+        if pairs:
+            with pytest.raises(NonCommuting) as exc:
+                KoszulComplex(k, m, endos)
+            assert str(exc.value) == "endomorphisms %d and %d do not commute" % pairs[0]
+            refused += 1
+        else:
+            c = KoszulComplex(k, m, endos)
+            assert [c.boundary(p) for p in range(1, k + 1)] == _dense_boundaries(list(endos))
+            accepted += 1
+    assert refused >= 20 and accepted >= 5
 
 
 def _slip(q):
@@ -442,15 +450,18 @@ def test_hand_built_complex_of_int_matrices_gives_its_homology():
 
 
 def test_broken_hand_built_complex_is_refused():
-    # a record built directly from endomorphisms that do not commute, which
-    # build refuses: d_1 d_2 != 0, and r_1 + r_2 exceeds the chain rank 6
+    # endomorphisms that do not commute, so d_1 d_2 != 0: the record refuses
+    # them where it is made, as build does; a record forced past the
+    # constructor with _replace still fails loudly, as r_1 + r_2 exceeds
+    # the chain rank 6 and FgAbGroup refuses the negative free rank
     endos = tuple(IntMatrix.from_rows(rows) for rows in (
         [[2, -2], [0, -2]], [[1, 1], [1, 1]], [[-1, -2], [1, -2]]))
-    with pytest.raises(NonCommuting):
-        build(3, endos)
-    c = KoszulComplex(3, 2, endos)
+    for make in (lambda: build(3, endos), lambda: KoszulComplex(3, 2, endos)):
+        with pytest.raises(NonCommuting, match="endomorphisms 0 and 1 do not commute"):
+            make()
+    c = build(3, [IntMatrix.identity(2)] * 3)._replace(endos=endos)
     assert not (c.boundary(1) @ c.boundary(2)).is_zero()
-    with pytest.raises(BrokenComplex, match="exceed the chain rank 6"):
+    with pytest.raises(ValueError, match="free rank must be non-negative"):
         homology(c)
 
 
@@ -626,3 +637,46 @@ def test_homology_invariant_under_basis_change(kf):
         ginv = g
     conjugated = [g @ s @ ginv for s in fam]
     assert homology(build(k, fam)).groups == homology(build(k, conjugated)).groups
+
+
+def _rank_mod(a, q):
+    """Rank of a over F_q, q prime, by sparse elimination on its rows: each
+    row is cleared from its least column by the pivot row found there, or
+    becomes the pivot row of that column."""
+    pivots = {}
+    for row in a.data:
+        r = {c: x % q for c, x in row.items() if x % q}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = pow(r[c], -1, q)
+                pivots[c] = {j: x * inv % q for j, x in r.items()}
+                break
+            f = r[c]
+            for j, x in pivots[c].items():
+                y = (r.get(j, 0) - f * x) % q
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _skeleton_complex(checks.perf_skeleton(0, 100)),
+    lambda: _skeleton_complex(product(checks.perf_skeleton(0, 20), KGraphSkeleton(
+        ("a", "b", "c"), (IntMatrix.from_rows([[0, 2, 2], [2, 0, 2], [2, 2, 0]]),)))),
+    # one orbit: Z^2 on the 60 x 60 torus by the two unit shifts
+    lambda: to_koszul(ZkAction(3600, [[x - x % 60 + (x + 1) % 60 for x in range(3600)],
+                                      [(x + 60) % 3600 for x in range(3600)]])),
+], ids=["perf-100", "rank3-product", "torus-60x60"])
+def test_cokernels_agree_with_their_ranks_mod_q(make):
+    # coker(a) (x) F_q = coker(a mod q), as tensoring is right exact: rows
+    # less the rank mod q counts the free rank and the factors q divides;
+    # the Z^2 orbit and the skeletons are rungs too large for the dense path
+    c = make()
+    for p in range(c.k + 2):
+        a = c.boundary(p)
+        g = cokernel(a)
+        for q in (2, 3, 5, 7):
+            assert a.rows - _rank_mod(a, q) == g.free_rank + sum(t % q == 0 for t in g.torsion)

@@ -8,7 +8,7 @@ import pytest
 from groupoid_homology.abelian import Z, FgAbGroup, HomologyProfile
 from groupoid_homology.checks import RATIO_BUDGET, TIME_BUDGET_S, NetResult, PerfReport
 from groupoid_homology.dr_finite import ZkAction
-from groupoid_homology.errors import DimensionMismatch, SkeletonInvalid
+from groupoid_homology.errors import DimensionMismatch, NonCommuting, SkeletonInvalid
 from groupoid_homology.exact_linalg import EntryGrowthStats, IntMatrix, SnfResult, snf
 from groupoid_homology.kgraph import (
     HkReport,
@@ -116,6 +116,18 @@ def test_constructors_normalise():
     sk = KGraphSkeleton([0, 1], [TWO], allow_sources=1)
     assert sk.vertices == ("0", "1") and sk.matrices == (TWO,)
     assert sk.allow_sources is True
+    # notes given as a list are kept as a tuple, so the report hashes
+    rep = HkReport(HomologyProfile((Z, Z), 1), KTheoryResult(Z, Z, "rank1"), None, ["a"])
+    assert rep.notes == ("a",) and hash(rep) == hash(rep._replace(notes=("a",)))
+    # m defaults to the first endomorphism's size, and endos become a tuple
+    c = KoszulComplex(True + 1, None, [THREE, FIVE])
+    assert (c.k, c.m, c.endos) == (2, 1, (THREE, FIVE))
+    # negative indices count from the end by Python's rules, and a degree
+    # outside the complex has rank 0 and no boundary
+    assert (TWO[-1, -1], TWO[0, -1]) == (1, 1)
+    assert c.dim(-1) == 0
+    with pytest.raises(ValueError, match="degree -1 outside 0..3"):
+        c.boundary(-1)
 
 
 @pytest.mark.parametrize("make, exc, text", [
@@ -228,6 +240,58 @@ def test_constructors_normalise():
     # the endomorphism index is an exact int, as the degree is: True is not 1
     pytest.param(lambda: verify_shift_identity(build(2, [THREE, FIVE]), True, 1, [(2, -1)]),
                  TypeError, "expected integers, got a bool", id="verify_shift_identity-bool-index"),
+    # a complex holds its own rules: the record refuses what build refuses,
+    # and a negative rank m
+    pytest.param(lambda: KoszulComplex(0, -1, ()), DimensionMismatch,
+                 "negative module rank -1", id="KoszulComplex-negative-m"),
+    pytest.param(lambda: build(0, [], m=-1), DimensionMismatch,
+                 "negative module rank -1", id="build-negative-m"),
+    pytest.param(lambda: KoszulComplex(2, 1, "ab"), TypeError,
+                 "endos is a str, not a list or tuple", id="KoszulComplex-str-endos"),
+    pytest.param(lambda: KoszulComplex(2, 1, (ONE, [[3]])), TypeError,
+                 "endos[1] is a list, not an IntMatrix", id="KoszulComplex-list-endo"),
+    pytest.param(lambda: KoszulComplex(2, 1, (ONE,)), DimensionMismatch,
+                 "expected 2 endomorphisms, got 1", id="KoszulComplex-wrong-count"),
+    pytest.param(lambda: KoszulComplex(1, 1, (IntMatrix.from_rows([[1, 2]]),)),
+                 DimensionMismatch, "endomorphisms must all be square of one size; got (1, 2)",
+                 id="KoszulComplex-non-square"),
+    pytest.param(lambda: KoszulComplex(2, 1, (ONE, TWO)), DimensionMismatch,
+                 "endomorphisms must all be square of one size; got (2, 2)",
+                 id="KoszulComplex-mixed-sizes"),
+    pytest.param(lambda: KoszulComplex(1, 2, (ONE,)), DimensionMismatch,
+                 "m=2 disagrees with endomorphism size 1", id="KoszulComplex-m-disagrees"),
+    pytest.param(lambda: KoszulComplex(0, None, ()), DimensionMismatch,
+                 "a rank-0 complex needs an explicit rank m", id="KoszulComplex-rank0-no-m"),
+    pytest.param(lambda: KoszulComplex(3, 2, (TWO, TWO, TWO.transpose())), NonCommuting,
+                 "endomorphisms 0 and 2 do not commute", id="KoszulComplex-non-commuting"),
+    # indices are exact ints: True is not 1
+    pytest.param(lambda: TWO[True, 0], TypeError, "expected integers, got a bool",
+                 id="IntMatrix-bool-row-index"),
+    pytest.param(lambda: TWO[0, True], TypeError, "expected integers, got a bool",
+                 id="IntMatrix-bool-col-index"),
+    pytest.param(lambda: build(1, [ONE]).dim(True), TypeError, "expected integers, got a bool",
+                 id="KoszulComplex-bool-dim"),
+    pytest.param(lambda: build(1, [ONE]).boundary(True), TypeError,
+                 "expected integers, got a bool", id="KoszulComplex-bool-boundary"),
+    # the K-theory record and the report check their fields like every record
+    pytest.param(lambda: KTheoryResult("x", Z, "rank1"), TypeError,
+                 "k0 is a str, not an FgAbGroup", id="KTheoryResult-str-k0"),
+    pytest.param(lambda: KTheoryResult(Z, (1, ()), "rank1"), TypeError,
+                 "k1 is a tuple, not an FgAbGroup", id="KTheoryResult-tuple-k1"),
+    pytest.param(lambda: KTheoryResult(Z, Z, "nonsense"), ValueError,
+                 "method 'nonsense' is not one of ('rank1', 'rank2', 'conjectural-k>=3')",
+                 id="KTheoryResult-unknown-method"),
+    pytest.param(lambda: HkReport((Z, Z), KTheoryResult(Z, Z, "rank1"), None, ()), TypeError,
+                 "profile is a tuple, not a HomologyProfile", id="HkReport-tuple-profile"),
+    pytest.param(lambda: HkReport(HomologyProfile((Z, Z), 1), (Z, Z, "rank1"), None, ()),
+                 TypeError, "ktheory is a tuple, not a KTheoryResult", id="HkReport-tuple-ktheory"),
+    pytest.param(lambda: HkReport(HomologyProfile((Z, Z), 1), KTheoryResult(Z, Z, "rank1"),
+                                  (Z, Z), ()),
+                 TypeError, "cubical is a tuple, not a HomologyProfile or None",
+                 id="HkReport-tuple-cubical"),
+    pytest.param(lambda: HkReport(HomologyProfile((Z, Z), 1), KTheoryResult(Z, Z, "rank1"),
+                                  None, "ab"),
+                 TypeError, "notes is a str, not a list or tuple", id="HkReport-str-notes"),
     *[pytest.param(lambda f=f: f({3, 3}), TypeError, "edge_counts is a set, not a list or tuple",
                    id=f"{f.__name__}-set-counts")
       for f in (single_vertex_closed_form, single_vertex_skeleton)],
