@@ -56,6 +56,14 @@ def _divisibility_chain(orders) -> tuple[int, ...]:
     return tuple(t)
 
 
+def _record(name: str, fields: str):
+    """A namedtuple base whose _make is cls(*values), so _make and _replace
+    (which calls self._make) run the subclass's __new__ and its rules."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
 @contextmanager
 def _all_digits():
     """Lift the int-to-string digit limit while output is rendered.
@@ -75,7 +83,7 @@ def _all_digits():
         sys.set_int_max_str_digits(limit)
 
 
-class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion")):
+class FgAbGroup(_record("FgAbGroup", "free_rank torsion")):
     """A finitely generated abelian group, canonically presented.
 
     free_rank is the rank of the free part; torsion is the invariant
@@ -157,7 +165,7 @@ def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     return FgAbGroup.from_orders(0, orders)
 
 
-class HomologyProfile(namedtuple("HomologyProfile", "groups k notes")):
+class HomologyProfile(_record("HomologyProfile", "groups k notes")):
     """Homology groups of a length-k complex: exactly k + 1 entries.
 
     groups[p] is H_p, an FgAbGroup, and k an exact int; groups and notes

@@ -10,18 +10,17 @@ images.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .abelian import FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple
+from .abelian import FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple, _record
 from .errors import DimensionMismatch, NonCommuting, NotBijective
 from .exact_linalg import IntMatrix
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import KoszulComplex, build, homology  # noqa: F401
 
 
-class ZkAction(namedtuple("ZkAction", "points perms")):
+class ZkAction(_record("ZkAction", "points perms")):
     """k self-maps of {0, .., points-1}, intended to commute and be bijective.
 
     Construction only checks shapes, ranges and that every value is an

@@ -59,10 +59,6 @@ def xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
-
-
 def _minus_multiple(row, q: int, other) -> list[int]:
     """row - q * other, entry by entry."""
     if q == 1:
@@ -498,9 +494,9 @@ def snf(a: IntMatrix) -> SnfResult:
     is _smithify(a)'s.
     """
     n = a.cols
-    H, kernel = _hermite([x + e for x, e in zip(a.to_rows(), _identity_rows(a.rows))], n)
+    H, kernel = _hermite(list(map(add, a.to_rows(), IntMatrix.identity(a.rows).to_rows())), n)
     r = len(H)
-    diag, U, V = _smithify(H + _identity_rows(n), r, n)
+    diag, U, V = _smithify(H + IntMatrix.identity(n).to_rows(), r, n)
     u = IntMatrix.from_rows(U + kernel, cols=a.rows)
     v = IntMatrix.from_rows(V, cols=n)
     d = tuple(diag) + (0,) * (min(a.shape) - r)
@@ -526,7 +522,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     Homology does not need this: its kernel ranks are cols - rank. This
     is a utility for callers that want explicit cycles.
     """
-    diag, _, V = _smithify(a.to_rows() + _identity_rows(a.cols), a.rows, a.cols)
+    diag, _, V = _smithify(a.to_rows() + IntMatrix.identity(a.cols).to_rows(), a.rows, a.cols)
     r = sum(1 for x in diag if x)
     return IntMatrix.from_rows([row[r:] for row in V], cols=a.cols - r)
 

@@ -14,11 +14,10 @@ only conjecturally beyond.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from math import comb
 
-from .abelian import (FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple, direct_sum,
-                      tensor, tor)
+from .abelian import (FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple, _record,
+                      direct_sum, tensor, tor)
 from .errors import (
     BrokenComplex,
     DimensionMismatch,
@@ -28,10 +27,10 @@ from .errors import (
 )
 from .exact_linalg import IntMatrix, cokernel
 # perfbench/tracing.py wraps build and homology at this module by name
-from .koszul import build, homology
+from .koszul import _noncommuting, build, homology
 
 
-class KGraphSkeleton(namedtuple("KGraphSkeleton", "vertices matrices allow_sources")):
+class KGraphSkeleton(_record("KGraphSkeleton", "vertices matrices allow_sources")):
     """Vertex labels plus k square vertex matrices of matching size.
 
     Construction checks that vertices and matrices are each a list or
@@ -83,19 +82,10 @@ def validate(s: KGraphSkeleton) -> list[str]:
     has no color-i edge with that range (a source); those findings are
     suppressed when the skeleton allows sources.
     """
-    findings = _negative_findings(s)
-    for i in range(s.k):
-        for j in range(i + 1, s.k):
-            p = s.matrices[i] @ s.matrices[j]
-            q = s.matrices[j] @ s.matrices[i]
-            if p != q:
-                v, a, b = next((v, a, b) for v, (a, b) in enumerate(zip(p.data, q.data))
-                               if a != b)
-                w = min(w for w in a.keys() | b.keys() if a.get(w) != b.get(w))
-                findings.append(
-                    f"matrices[{i}] and matrices[{j}] do not commute: "
-                    f"products differ at ({v},{w})"
-                )
+    findings = _negative_findings(s) + [
+        f"matrices[{i}] and matrices[{j}] do not commute: products differ at ({v},{w})"
+        for i, j, (v, w) in _noncommuting(s.matrices)
+    ]
     if not s.allow_sources:
         findings += [
             f"matrices[{i}] row {v} is zero: vertex "
@@ -119,10 +109,13 @@ def _zero_rows(m: IntMatrix) -> list[int]:
     return [v for v, row in enumerate(m.data) if not row]
 
 
-def _require_valid(s: KGraphSkeleton) -> None:
+def _complex(s: KGraphSkeleton):
+    """The complex on the transposed vertex matrices; SkeletonInvalid
+    first if validate(s) reports anything."""
     findings = validate(s)
     if findings:
         raise SkeletonInvalid(findings)
+    return build(s.k, [m.transpose() for m in s.matrices], m=len(s.vertices))
 
 
 def groupoid_homology(s: KGraphSkeleton) -> HomologyProfile:
@@ -132,23 +125,17 @@ def groupoid_homology(s: KGraphSkeleton) -> HomologyProfile:
     attached, and the boundary uses id - M_i^t; the profile has entries
     H_0 .. H_k. Raises SkeletonInvalid if validate(s) reports anything.
     """
-    _require_valid(s)
-    return _homology_of_valid(s)
-
-
-def _homology_of_valid(s: KGraphSkeleton) -> HomologyProfile:
-    endos = [m.transpose() for m in s.matrices]
+    c = _complex(s)
     notes = [f"rank-{s.k} vertex-matrix complex on {len(s.vertices)} vertices"]
     if s.allow_sources and any(_zero_rows(m) for m in s.matrices):
         notes.append(
             "warning: sources present (some vertex emits no edge in some "
             "coordinate); structural results assume none"
         )
-    c = build(s.k, endos, m=len(s.vertices))
     return homology(c, notes)
 
 
-class KTheoryResult(namedtuple("KTheoryResult", "k0 k1 method")):
+class KTheoryResult(_record("KTheoryResult", "k0 k1 method")):
     """K_0 and K_1 (FgAbGroup each) of the groupoid C*-algebra, with provenance.
 
     method records which wiring produced the answer, one of METHODS:
@@ -192,19 +179,19 @@ def ktheory_from_profile(profile: HomologyProfile) -> KTheoryResult:
 def ktheory(s: KGraphSkeleton, allow_conjectural: bool = False) -> KTheoryResult:
     """K-theory of the skeleton's groupoid C*-algebra.
 
-    The skeleton is validated once, then higher ranks are gated behind
-    allow_conjectural before any reduction runs, so findings take
-    precedence over the gate. The answer is ktheory_from_profile of the
-    homology profile; for rank 1 that is K_0 = coker(id - M_1^t) and
-    K_1 = ker(id - M_1^t).
+    The skeleton is validated and its complex built once, then higher
+    ranks are gated behind allow_conjectural before any reduction runs,
+    so findings take precedence over the gate. The answer is
+    ktheory_from_profile of the homology profile; for rank 1 that is
+    K_0 = coker(id - M_1^t) and K_1 = ker(id - M_1^t).
     """
-    _require_valid(s)
+    c = _complex(s)
     if s.k >= 3 and not allow_conjectural:
         raise RankUnsupported(
             f"K-theory wiring is established for k = 1 and k = 2 only; "
             f"k = {s.k} requires allow_conjectural"
         )
-    return ktheory_from_profile(_homology_of_valid(s))
+    return ktheory_from_profile(homology(c))
 
 
 def single_vertex_closed_form(edge_counts) -> HomologyProfile:
@@ -322,7 +309,7 @@ def cubical_homology_rank1(s: KGraphSkeleton) -> HomologyProfile:
     )
 
 
-class HkReport(namedtuple("HkReport", "profile ktheory cubical notes")):
+class HkReport(_record("HkReport", "profile ktheory cubical notes")):
     """Everything the hk-report command surfaces for one skeleton.
 
     profile is the HomologyProfile and ktheory the KTheoryResult. notes

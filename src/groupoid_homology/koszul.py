@@ -22,26 +22,26 @@ action by permutations.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
-from .abelian import FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple
+from .abelian import FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple, _record
 from .errors import DimensionMismatch, NonCommuting, NotACycle
 from .exact_linalg import IntMatrix, cokernel
 # unused here, but perfbench/tracing.py wraps these two at this module by name
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
 
-class KoszulComplex(namedtuple("KoszulComplex", "k m endos")):
+class KoszulComplex(_record("KoszulComplex", "k m endos")):
     """The complex of k commuting endomorphisms of Z^m, stored as them alone.
 
     Construction holds the complex's rules: k and m are exact ints, and
     endos a list or tuple (never a set in hash order) of k m x m
     IntMatrix, kept as given; m = None reads m from the first of them,
-    so k = 0 needs m >= 0 passed. S_i S_j is compared with S_j S_i for
-    every pair i < j in combinations order, the only products taken, and
-    the first pair that differs is raised as NonCommuting. Commutation
+    so k = 0 needs m >= 0 passed. _noncommuting compares S_i S_j with
+    S_j S_i for every pair i < j in combinations order, the only products
+    taken, and the first pair that differs is raised as NonCommuting;
+    _make and _replace run the same rules. Commutation
     makes d o d = 0: column block (i, j) of d_1 d_2 is S_j S_i - S_i S_j,
     and the higher composites vanish by the sign rule. boundary(p)
     writes the degree-p boundary each time it is called.
@@ -69,9 +69,8 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos")):
             raise DimensionMismatch(f"m={m} disagrees with endomorphism size {m0}")
         if m0 < 0:
             raise DimensionMismatch(f"negative module rank {m0}")
-        for i, j in combinations(range(k), 2):
-            if endos[i] @ endos[j] != endos[j] @ endos[i]:
-                raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
+        for i, j, _ in _noncommuting(endos):
+            raise NonCommuting(f"endomorphisms {i} and {j} do not commute")
         return super().__new__(cls, k, m0, endos)
 
     def dim(self, p: int) -> int:
@@ -119,6 +118,17 @@ class KoszulComplex(namedtuple("KoszulComplex", "k m endos")):
         raise ValueError(f"degree {p} outside 0..{self.k + 1}")
 
 
+def _noncommuting(mats):
+    """(i, j, (row, col)) for each pair i < j, in combinations order, with
+    mats[i] @ mats[j] != mats[j] @ mats[i], and the first position where
+    the two products differ; each pair's products are taken once."""
+    for i, j in combinations(range(len(mats)), 2):
+        p, q = mats[i] @ mats[j], mats[j] @ mats[i]
+        if p != q:
+            v, a, b = next((v, a, b) for v, (a, b) in enumerate(zip(p.data, q.data)) if a != b)
+            yield i, j, (v, min(w for w in a.keys() | b.keys() if a.get(w) != b.get(w)))
+
+
 def build(k: int, endos, m: int | None = None) -> KoszulComplex:
     """KoszulComplex(k, m, endos), with m read from the first endomorphism
     unless it is passed; the record checks everything, commutation
@@ -162,12 +172,11 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     (id (x) S_i) z - z lies in the integer column span of the next
     boundary, for every z; degree is explicit, as degrees share chain ranks.
 
-    Membership is decided without transforms, by two cokernels: the
-    span of A is contained in the span of [A | B], and the two are equal
-    exactly when they have equal rank and equal products of nonzero
-    invariant factors. Equal ranks give both lattices the same
-    saturation, and that product is the index of a lattice in its
-    saturation.
+    Membership is decided without transforms, by cokernel equality: the
+    span of A lies inside the span of [A | B], so coker [A | B] is a
+    quotient of coker A, and a finitely generated abelian group is never
+    isomorphic to a proper quotient of itself (it is Hopfian). So the
+    spans are equal exactly when the canonical cokernels are.
     """
     i, p = _exact_ints([i, degree])
     if not 0 <= p <= c.k:
@@ -185,11 +194,4 @@ def verify_shift_identity(c: KoszulComplex, i: int, degree: int, cycles) -> bool
     a = c.boundary(p + 1)
     augmented = [{**x, **{a.cols + j: v for j, v in y.items()}}
                  for x, y in zip(a.data, moved.data)]
-    return _span_index(a) == _span_index(IntMatrix._wrap(augmented, a.cols + Z.cols))
-
-
-def _span_index(a: IntMatrix) -> tuple[int, int]:
-    """Rank of the column span, and its index in its saturation: rows
-    less the free rank of the cokernel, and the product of its torsion."""
-    g = cokernel(a)
-    return a.rows - g.free_rank, prod(g.torsion)
+    return cokernel(a) == cokernel(IntMatrix._wrap(augmented, a.cols + Z.cols))

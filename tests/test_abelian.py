@@ -1,10 +1,13 @@
 import math
 import random
+import sys
+import types
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from groupoid_homology import abelian
 from groupoid_homology.abelian import (
     TRIVIAL,
     Z,
@@ -23,6 +26,16 @@ groups = st.builds(
     st.integers(0, 4),
     orders,
 )
+
+
+def test_rendering_needs_no_digit_limit_to_lift(monkeypatch):
+    # an interpreter without set_int_max_str_digits (before 3.10.7) has no
+    # limit, so _all_digits lifts nothing and rendering goes on as usual
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(abelian, "sys", types.SimpleNamespace())
+    with abelian._all_digits():
+        assert FgAbGroup(2, (2, 4)).describe() == "Z^2 (+) Z_2 (+) Z_4"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_canonical_form_is_enforced():

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import groupoid_homology
-from groupoid_homology import checks, cli, errors, serialize
+from groupoid_homology import checks, cli, errors, kgraph, serialize
+from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +126,52 @@ def test_text_rendering(capsys, tmp_path):
     assert lines[0] == "k = 1"
     assert lines[1] == "H_0 = Z_2 (+) Z_2"
     assert lines[2] == "H_1 = 0"
+
+
+@pytest.mark.parametrize("argv, instance, text", [
+    (["ktheory"], TWO_VERTEX, """\
+k = 1
+K_0 = Z_2 (+) Z_2  [rank1]
+K_1 = 0  [rank1]
+notes:
+  - k-theory status: verified-structurally
+"""),
+    (["ktheory"], RANK2, """\
+k = 2
+K_0 = Z_2  [rank2]
+K_1 = Z_2  [rank2]
+notes:
+  - k-theory status: verified-structurally
+"""),
+    (["hk-report"], TWO_VERTEX, """\
+k = 1
+H_0 = Z_2 (+) Z_2
+H_1 = 0
+K_0 = Z_2 (+) Z_2  [rank1]
+K_1 = 0  [rank1]
+notes:
+  - rank-1 vertex-matrix complex on 2 vertices
+  - K_0 = Z_2 (+) Z_2 vs (+) H_even = Z_2 (+) Z_2: agree
+  - K_1 = 0 vs (+) H_odd = 0: agree
+  - H_0: underlying graph Z vs groupoid Z_2 (+) Z_2
+  - H_1: underlying graph Z^11 vs groupoid 0
+"""),
+    (["hk-report"], RANK2, """\
+k = 2
+H_0 = Z_2
+H_1 = Z_2
+H_2 = 0
+K_0 = Z_2  [rank2]
+K_1 = Z_2  [rank2]
+notes:
+  - rank-2 vertex-matrix complex on 1 vertices
+  - K_0 = Z_2 vs (+) H_even = Z_2: agree
+  - K_1 = Z_2 vs (+) H_odd = Z_2: agree
+"""),
+], ids=["ktheory-rank1", "ktheory-rank2", "hk-report-rank1", "hk-report-rank2"])
+def test_ktheory_text_rendering(capsys, tmp_path, argv, instance, text):
+    rc, out, err = run(capsys, argv + [write(tmp_path, "g.json", instance), "--text"])
+    assert (rc, out, err) == (0, text, "")
 
 
 def test_product_output_reparses_and_matches_composition(capsys, tmp_path):
@@ -429,6 +476,28 @@ def test_hypothesis_violations_fail_with_code_1(capsys):
     assert json.loads(err)["error"]["type"] == "HypothesisViolated"
 
 
+def test_single_vertex_disagreement_is_a_broken_complex(capsys, monkeypatch):
+    # a closed form that disagrees with the engine fails the command, exit 1
+    monkeypatch.setattr(cli, "single_vertex_closed_form",
+                        lambda counts: kgraph.single_vertex_closed_form([4, 7]))
+    rc, out, err = run(capsys, ["single-vertex", "--edges", "3,5"])
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "BrokenComplex",
+        "message": "closed form H_0 = Z_3, H_1 = Z_3, H_2 = 0 disagrees with the "
+                   "vertex-matrix computation H_0 = Z_2, H_1 = Z_2, H_2 = 0",
+    }
+
+
+def test_cubical_torsion_is_a_broken_complex(capsys, monkeypatch, tmp_path):
+    # a graph's incidence cokernel is free; torsion there fails the command
+    monkeypatch.setattr(kgraph, "cokernel", lambda a: FgAbGroup(1, (2,)))
+    rc, out, err = run(capsys, ["cubical", write(tmp_path, "g.json", TWO_VERTEX)])
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "BrokenComplex", "message": "graph incidence cokernel acquired torsion"}
+
+
 def test_rank_gates_use_their_own_exit_code(capsys, tmp_path):
     path = write(tmp_path, "g.json", RANK3)
     rc, _, err = run(capsys, ["ktheory", path])
@@ -598,6 +667,12 @@ def test_check_rejects_a_negative_case_count(capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert "--cases: must be at least 0, got -1" in captured.err
+    # and so is a count that is not an int
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--cases", "x"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--cases: invalid int value: 'x'" in captured.err
     # zero cases is still a valid, empty run
     rc, out, _ = run(capsys, ["check", "--cases", "0"])
     assert rc == 0 and out.splitlines()[0] == "snf: 0 cases, 0 failures"

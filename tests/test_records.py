@@ -20,6 +20,7 @@ from groupoid_homology.kgraph import (
     single_vertex_skeleton,
 )
 from groupoid_homology.koszul import KoszulComplex, build, verify_shift_identity
+from groupoid_homology.serialize import instance_to_dict
 
 ONE = IntMatrix.from_rows([[2]])
 TWO = IntMatrix.from_rows([[1, 1], [0, 1]])
@@ -126,6 +127,8 @@ def test_constructors_normalise():
     # outside the complex has rank 0 and no boundary
     assert (TWO[-1, -1], TWO[0, -1]) == (1, 1)
     assert c.dim(-1) == 0
+    # no rows and no width given is the 0 x 0 matrix
+    assert IntMatrix.from_rows([]).shape == (0, 0)
     with pytest.raises(ValueError, match="degree -1 outside 0..3"):
         c.boundary(-1)
 
@@ -240,6 +243,18 @@ def test_constructors_normalise():
     # the endomorphism index is an exact int, as the degree is: True is not 1
     pytest.param(lambda: verify_shift_identity(build(2, [THREE, FIVE]), True, 1, [(2, -1)]),
                  TypeError, "expected integers, got a bool", id="verify_shift_identity-bool-index"),
+    # a cycle has the width of its degree's chain group, and the degree and
+    # the index lie inside the complex
+    pytest.param(lambda: verify_shift_identity(build(2, [THREE, FIVE]), 0, 1, [(2, -1, 0)]),
+                 DimensionMismatch, "rows have width 3, expected 2",
+                 id="verify_shift_identity-wide-cycle"),
+    pytest.param(lambda: verify_shift_identity(build(2, [THREE, FIVE]), 0, 5, []),
+                 ValueError, "degree 5 outside 0..2", id="verify_shift_identity-degree-outside"),
+    pytest.param(lambda: verify_shift_identity(build(2, [THREE, FIVE]), 2, 1, []),
+                 ValueError, "endomorphism index 2 outside 0..1",
+                 id="verify_shift_identity-index-outside"),
+    pytest.param(lambda: instance_to_dict(3), TypeError, "not an instance: int",
+                 id="instance_to_dict-int"),
     # a complex holds its own rules: the record refuses what build refuses,
     # and a negative rank m
     pytest.param(lambda: KoszulComplex(0, -1, ()), DimensionMismatch,
@@ -306,6 +321,39 @@ def test_constructors_normalise():
                    f"orders is a {kind}, not a list or tuple", id=f"from_orders-{kind}-orders")
       for kind, o in [("set", lambda: {2, 2}), ("dict", lambda: {3: "a", 2: "b"}),
                       ("str", lambda: "22"), ("generator", lambda: (x for x in (2, 2)))]],
+    # _make, and _replace through it, runs each record's rules as the
+    # constructor does, so no copy holds what the record refuses
+    pytest.param(lambda: FgAbGroup(1)._replace(free_rank=-1, torsion=[4, 6]), ValueError,
+                 "free rank must be non-negative, got -1", id="FgAbGroup-_replace"),
+    pytest.param(lambda: FgAbGroup._make([-3, "x"]), TypeError,
+                 "torsion is a str, not a list or tuple", id="FgAbGroup-_make"),
+    pytest.param(lambda: HomologyProfile((Z,), 0)._replace(groups="ab", k=5), TypeError,
+                 "groups is a str, not a list or tuple", id="HomologyProfile-_replace"),
+    pytest.param(lambda: HomologyProfile._make([(Z,), 1, ()]), ValueError,
+                 "profile for k=1 needs 2 groups, got 1", id="HomologyProfile-_make"),
+    pytest.param(lambda: build(1, [ONE])._replace(m=2), DimensionMismatch,
+                 "m=2 disagrees with endomorphism size 1", id="KoszulComplex-_replace"),
+    pytest.param(lambda: KoszulComplex._make([3, 2, (TWO, TWO, TWO.transpose())]), NonCommuting,
+                 "endomorphisms 0 and 2 do not commute", id="KoszulComplex-_make"),
+    pytest.param(lambda: ZkAction(2, ((1, 0),))._replace(points=3), DimensionMismatch,
+                 "permutation 0 has 2 images for 3 points", id="ZkAction-_replace"),
+    pytest.param(lambda: ZkAction._make([-1, ()]), DimensionMismatch,
+                 "negative point count -1", id="ZkAction-_make"),
+    pytest.param(lambda: KGraphSkeleton(("v", "w"), (TWO,))._replace(vertices=("v", "v")),
+                 SkeletonInvalid, "vertices[1]: duplicate label 'v'",
+                 id="KGraphSkeleton-_replace"),
+    pytest.param(lambda: KGraphSkeleton._make([("v",), (), False]), DimensionMismatch,
+                 "a skeleton needs at least one vertex matrix", id="KGraphSkeleton-_make"),
+    pytest.param(lambda: KTheoryResult(Z, Z, "rank1")._replace(method="rank4"), ValueError,
+                 "method 'rank4' is not one of ('rank1', 'rank2', 'conjectural-k>=3')",
+                 id="KTheoryResult-_replace"),
+    pytest.param(lambda: KTheoryResult._make(["x", Z, "rank1"]), TypeError,
+                 "k0 is a str, not an FgAbGroup", id="KTheoryResult-_make"),
+    pytest.param(lambda: HkReport(HomologyProfile((Z, Z), 1), KTheoryResult(Z, Z, "rank1"),
+                                  None, ())._replace(notes="ab"),
+                 TypeError, "notes is a str, not a list or tuple", id="HkReport-_replace"),
+    pytest.param(lambda: HkReport._make([(Z, Z), KTheoryResult(Z, Z, "rank1"), None, ()]),
+                 TypeError, "profile is a tuple, not a HomologyProfile", id="HkReport-_make"),
 ])
 def test_constructor_errors_keep_type_and_text(make, exc, text):
     with pytest.raises(exc) as info:
