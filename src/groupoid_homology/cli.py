@@ -51,10 +51,18 @@ def _emit(payload: dict, text: bool) -> None:
         print(dumps(payload))
 
 
-def _load_kgraph(path: str, command: str) -> KGraphSkeleton:
+def _emit_profile(prof, args, notes=None) -> int:
+    """Print a homology profile with its notes (prof.notes by default)."""
+    if notes is None:
+        notes = prof.notes
+    _emit(output_dict(prof.k, profile=prof, notes=notes), args.text)
+    return 0
+
+
+def _load_kgraph(args, path: str) -> KGraphSkeleton:
     inst = load_instance(path)
     if not isinstance(inst, KGraphSkeleton):
-        raise SchemaError(f"{command} expects a kgraph instance, got zk_action")
+        raise SchemaError(f"{args.command} expects a kgraph instance, got zk_action")
     return inst
 
 
@@ -79,12 +87,11 @@ def _cmd_homology(args) -> int:
         prof = groupoid_homology(inst)
     else:
         prof = homology(to_koszul(inst))
-    _emit(output_dict(prof.k, profile=prof, notes=prof.notes), args.text)
-    return 0
+    return _emit_profile(prof, args)
 
 
 def _cmd_ktheory(args) -> int:
-    inst = _load_kgraph(args.file, "ktheory")
+    inst = _load_kgraph(args, args.file)
     kt = ktheory(inst, allow_conjectural=args.allow_conjectural)
     notes = [f"k-theory status: {kt.hk_status}"]
     _emit(output_dict(inst.k, ktheory=kt, notes=notes), args.text)
@@ -105,13 +112,12 @@ def _cmd_single_vertex(args) -> int:
         )
     notes = list(prof.notes)
     notes.append("cross-check: vertex-matrix computation agrees")
-    _emit(output_dict(prof.k, profile=prof, notes=notes), args.text)
-    return 0
+    return _emit_profile(prof, args, notes)
 
 
 def _cmd_product(args) -> int:
-    a = _load_kgraph(args.a, "product")
-    b = _load_kgraph(args.b, "product")
+    a = _load_kgraph(args, args.a)
+    b = _load_kgraph(args, args.b)
     body = dumps(instance_to_dict(product(a, b)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -122,22 +128,20 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_kunneth(args) -> int:
-    a = _load_kgraph(args.a, "kunneth")
-    b = _load_kgraph(args.b, "kunneth")
+    a = _load_kgraph(args, args.a)
+    b = _load_kgraph(args, args.b)
     prof = kunneth(groupoid_homology(a), groupoid_homology(b))
-    _emit(output_dict(prof.k, profile=prof, notes=prof.notes), args.text)
-    return 0
+    return _emit_profile(prof, args)
 
 
 def _cmd_cubical(args) -> int:
-    inst = _load_kgraph(args.file, "cubical")
+    inst = _load_kgraph(args, args.file)
     prof = cubical_homology_rank1(inst)
-    _emit(output_dict(prof.k, profile=prof, notes=prof.notes), args.text)
-    return 0
+    return _emit_profile(prof, args)
 
 
 def _cmd_hk_report(args) -> int:
-    inst = _load_kgraph(args.file, "hk-report")
+    inst = _load_kgraph(args, args.file)
     rep = hk_report(inst)
     _emit(
         output_dict(inst.k, profile=rep.profile, ktheory=rep.ktheory, notes=rep.notes),
@@ -189,50 +193,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *files):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
+        for f in files:
+            p.add_argument(f)
         return p
 
-    p = add("validate", _cmd_validate, "check an instance file for findings")
-    p.add_argument("file")
-    p.add_argument("--text", action="store_true")
+    def add_text(p):
+        # every command that prints a payload can render it as plain text;
+        # added after the command's own flags, so it ends their usage line
+        p.add_argument("--text", action="store_true")
 
-    p = add("homology", _cmd_homology, "homology profile of an instance")
-    p.add_argument("file")
-    p.add_argument("--text", action="store_true")
+    add_text(add("validate", _cmd_validate, "check an instance file for findings", "file"))
+    add_text(add("homology", _cmd_homology, "homology profile of an instance", "file"))
 
-    p = add("ktheory", _cmd_ktheory, "C*-algebra K-theory of a kgraph instance")
-    p.add_argument("file")
+    p = add("ktheory", _cmd_ktheory, "C*-algebra K-theory of a kgraph instance", "file")
     p.add_argument("--allow-conjectural", action="store_true",
                    help="permit the unproven rank >= 3 formula, clearly labeled")
-    p.add_argument("--text", action="store_true")
+    add_text(p)
 
     p = add("single-vertex", _cmd_single_vertex,
             "closed-form homology of a one-vertex skeleton")
     p.add_argument("--edges", required=True, metavar="N1,N2,...",
                    help="edge counts per color, each at least 2")
-    p.add_argument("--text", action="store_true")
+    add_text(p)
 
-    p = add("product", _cmd_product, "product skeleton as a new instance file")
-    p.add_argument("a")
-    p.add_argument("b")
+    p = add("product", _cmd_product, "product skeleton as a new instance file", "a", "b")
     p.add_argument("-o", "--output", metavar="OUT",
                    help="write the instance here instead of stdout")
 
-    p = add("kunneth", _cmd_kunneth, "homology of a product from factor profiles")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--text", action="store_true")
-
-    p = add("cubical", _cmd_cubical, "cube-complex homology of a rank-1 skeleton")
-    p.add_argument("file")
-    p.add_argument("--text", action="store_true")
-
-    p = add("hk-report", _cmd_hk_report,
-            "homology, K-theory, and their comparison in one report")
-    p.add_argument("file")
-    p.add_argument("--text", action="store_true")
+    add_text(add("kunneth", _cmd_kunneth, "homology of a product from factor profiles",
+                 "a", "b"))
+    add_text(add("cubical", _cmd_cubical, "cube-complex homology of a rank-1 skeleton",
+                 "file"))
+    add_text(add("hk-report", _cmd_hk_report,
+                 "homology, K-theory, and their comparison in one report", "file"))
 
     p = add("check", _cmd_check, "run the randomized verification nets")
     p.add_argument("--seed", type=int, default=0)

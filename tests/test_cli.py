@@ -1,3 +1,4 @@
+import argparse
 import copy
 import importlib
 import json
@@ -256,6 +257,17 @@ def test_homology_notes_sources_on_a_relaxed_skeleton(capsys, tmp_path):
     ]
 
 
+def test_text_is_an_option_of_every_command_that_prints_a_payload():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == ["check", "cubical", "hk-report", "homology", "ktheory",
+                                "kunneth", "product", "single-vertex", "validate"]
+    for name, sub in commands.items():
+        has_text = "--text" in sub._option_string_actions
+        assert has_text == (name not in ("product", "check")), name
+
+
 # --- exit codes --------------------------------------------------------------
 
 def test_missing_file_is_a_schema_failure(capsys, tmp_path):
@@ -271,10 +283,20 @@ def test_malformed_instance_is_a_schema_failure(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "SchemaError"
 
 
-def test_wrong_instance_kind_is_a_schema_failure(capsys, tmp_path):
-    rc, _, err = run(capsys, ["cubical", write(tmp_path, "a.json", ACTION)])
-    assert rc == 2
-    assert "kgraph" in json.loads(err)["error"]["message"]
+@pytest.mark.parametrize("command, files", [
+    ("ktheory", 1), ("product", 2), ("kunneth", 2), ("cubical", 1), ("hk-report", 1),
+], ids=["ktheory", "product", "kunneth", "cubical", "hk-report"])
+def test_wrong_instance_kind_is_a_schema_failure(capsys, tmp_path, command, files):
+    # every command that needs a kgraph refuses an action by its own name;
+    # the last file is the action, so a two-file command loads a kgraph first
+    paths = [write(tmp_path, "g.json", TWO_VERTEX)] * (files - 1)
+    paths.append(write(tmp_path, "a.json", ACTION))
+    rc, out, err = run(capsys, [command, *paths])
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": {
+        "type": "SchemaError",
+        "message": f"{command} expects a kgraph instance, got zk_action",
+    }}
 
 
 def test_duplicate_vertex_labels_are_a_schema_failure(capsys, tmp_path):

@@ -73,6 +73,10 @@ def test_equality_and_hash():
     b = IntMatrix(2, 2, [1, 2, 3, 4])
     assert a == b and hash(a) == hash(b)
     assert a != IntMatrix(2, 2, [1, 2, 3, 5])
+    # a matrix never equals a scalar, not even a 1x1 one: its __eq__ leaves
+    # the comparison to the other operand
+    assert IntMatrix.identity(1).__eq__(1) is NotImplemented
+    assert (IntMatrix.identity(1) == 1) is False
 
 
 def test_arithmetic_matches_hand_computation():

@@ -657,6 +657,17 @@ def _rank_mod(a, q):
     return len(pivots)
 
 
+def _disjoint_perf(count, n):
+    """Block-diagonal union of perf_skeleton(s, n) for s < count."""
+    parts = [checks.perf_skeleton(s, n) for s in range(count)]
+    mats = [IntMatrix.from_rows([[0] * n * s + row + [0] * n * (count - 1 - s)
+                                 for s, p in enumerate(parts)
+                                 for row in p.matrices[i].to_rows()])
+            for i in range(2)]
+    return KGraphSkeleton(tuple(f"{s}:{v}" for s, p in enumerate(parts) for v in p.vertices),
+                          tuple(mats))
+
+
 @pytest.mark.parametrize("make", [
     lambda: _skeleton_complex(checks.perf_skeleton(0, 100)),
     lambda: _skeleton_complex(product(checks.perf_skeleton(0, 20), KGraphSkeleton(
@@ -664,7 +675,9 @@ def _rank_mod(a, q):
     # one orbit: Z^2 on the 60 x 60 torus by the two unit shifts
     lambda: to_koszul(ZkAction(3600, [[x - x % 60 + (x + 1) % 60 for x in range(3600)],
                                       [(x + 60) % 3600 for x in range(3600)]])),
-], ids=["perf-100", "rank3-product", "torus-60x60"])
+    # cokernel reduces what elimination leaves of each summand as its own block
+    lambda: _skeleton_complex(_disjoint_perf(4, 20)),
+], ids=["perf-100", "rank3-product", "torus-60x60", "disjoint-perf-20x4"])
 def test_cokernels_agree_with_their_ranks_mod_q(make):
     # coker(a) (x) F_q = coker(a mod q), as tensoring is right exact: rows
     # less the rank mod q counts the free rank and the factors q divides;

@@ -9,7 +9,13 @@ from groupoid_homology.abelian import Z, FgAbGroup, HomologyProfile
 from groupoid_homology.checks import RATIO_BUDGET, TIME_BUDGET_S, NetResult, PerfReport
 from groupoid_homology.dr_finite import ZkAction
 from groupoid_homology.errors import DimensionMismatch, NonCommuting, SkeletonInvalid
-from groupoid_homology.exact_linalg import EntryGrowthStats, IntMatrix, SnfResult, snf
+from groupoid_homology.exact_linalg import (
+    EntryGrowthStats,
+    IntMatrix,
+    SnfResult,
+    snf,
+    solve_columns,
+)
 from groupoid_homology.kgraph import (
     HkReport,
     KGraphSkeleton,
@@ -222,6 +228,9 @@ def test_constructors_normalise():
                  "bad shape (-2, 3)", id="zeros-negative-rows"),
     pytest.param(lambda: IntMatrix.zeros(2, -3), DimensionMismatch,
                  "bad shape (2, -3)", id="zeros-negative-cols"),
+    # solving needs a and b to have the same rows
+    pytest.param(lambda: solve_columns(IntMatrix.identity(2), IntMatrix.identity(3)),
+                 DimensionMismatch, "a has 2 rows but b has 3", id="solve_columns-rows"),
     # entries, rows and edge counts are a list or tuple too: a set would be
     # read in hash order ([[3, 5]] from {5, 3}) or collapse a repeated count
     *[pytest.param(lambda e=e: IntMatrix(1, 2, e()), TypeError,
