@@ -15,7 +15,7 @@ from math import comb
 
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple, _record
 from .errors import DimensionMismatch, NonCommuting, NotBijective
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _components
 # perfbench/tracing.py wraps build and homology at this module by name
 from .koszul import KoszulComplex, build, homology  # noqa: F401
 
@@ -123,21 +123,9 @@ def to_koszul(a: ZkAction) -> KoszulComplex:
 
 
 def orbit_count(a: ZkAction) -> int:
-    """Number of orbits of the generated group on the points."""
-    parent = list(range(a.points))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in a.perms:
-        for x in range(a.points):
-            rx, ry = find(x), find(p[x])
-            if rx != ry:
-                parent[rx] = ry
-    return sum(1 for x in range(a.points) if find(x) == x)
+    """Number of orbits of the generated group on the points: each point
+    is joined to its images (_components)."""
+    return len(set(_components(a.points, zip(range(a.points), *a.perms))))
 
 
 def orbit_oracle(a: ZkAction) -> HomologyProfile:
@@ -147,10 +135,15 @@ def orbit_oracle(a: ZkAction) -> HomologyProfile:
     are finite-index subgroups of Z^k and the orbit contributes exactly
     what a one-point system with the trivial action contributes, Z^C(k,p)
     in degree p (its boundaries are all zero). The total is the direct
-    sum over orbits. This route never looks at which permutation sends
-    which point where, only at the orbit partition, and shares no code
-    with the chain engine, which makes it a useful cross-check.
+    sum over orbits. Raises the first finding of validate_action, as
+    to_koszul does. This route reads only the orbit partition. It shares
+    _components with the engine's block split, but on an action every
+    pivot the engine eliminates is a unit and no nonempty row is left
+    to group, so the two answers never rest on one grouping and the
+    oracle stays a useful cross-check.
     """
+    for exc, f in _findings(a):
+        raise exc(f)
     n_orbits = orbit_count(a)
     return HomologyProfile(
         tuple(FgAbGroup(comb(a.k, p) * n_orbits) for p in range(a.k + 1)),

@@ -27,10 +27,10 @@ class NonCommuting(GroupoidHomologyError, ValueError):
 class BrokenComplex(GroupoidHomologyError, RuntimeError):
     """A chain-complex consistency check failed.
 
-    Raised by kgraph.cubical_homology_rank1 and by the ghom
-    single-vertex cross-check; either is a bug. koszul never raises it:
-    a KoszulComplex refuses non-commuting endomorphisms when it is made
-    (NonCommuting), and commutation makes d o d = 0.
+    Raised only by the ghom single-vertex cross-check, and a bug when
+    it is. koszul never raises it: a KoszulComplex refuses non-commuting
+    endomorphisms when it is made (NonCommuting), and commutation makes
+    d o d = 0.
     """
 
 

@@ -527,34 +527,50 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([row[r:] for row in V], cols=a.cols - r)
 
 
+def _components(n: int, groups) -> list[int]:
+    """Root of each node 0 .. n-1 once the nodes of each group are joined.
+
+    groups holds nonempty iterables of nodes. A union-find with path
+    halving links each node of a group to the root of its first, so two
+    nodes share a root exactly when a chain of overlapping groups joins
+    them. The package's one connected-components routine.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for group in groups:
+        group = iter(group)
+        r = find(next(group))
+        for x in group:
+            x = find(x)
+            if x != r:
+                parent[x] = r
+    return [find(x) for x in range(n)]
+
+
 def _blocks(rows) -> list[tuple[list[int], list[int]]]:
     """Connected components of the bipartite support graph of {col: value} rows.
 
-    Rows and columns are the vertices and nonzero entries the edges.
-    Each component is (row indices, column indices), both ascending;
-    components come in order of first row. Empty rows and columns that
-    no row holds belong to no component.
+    Rows and columns are the vertices and nonzero entries the edges, so
+    _components joins the columns of each row. Each component is (row
+    indices, column indices), both ascending; components come in order
+    of first row. Empty rows and unheld columns belong to no component.
     """
-    col_rows = {}
+    held = [row for row in rows if row]
+    root = _components(max((max(row) for row in held), default=-1) + 1, held)
+    blocks = {}
     for i, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, []).append(i)
-    placed = set()
-    blocks = []
-    for start, row in enumerate(rows):
-        if not row or start in placed:
-            continue
-        found, cols, stack = {start}, set(), [start]
-        while stack:
-            for j in rows[stack.pop()]:
-                if j not in cols:
-                    cols.add(j)
-                    new = [i for i in col_rows[j] if i not in found]
-                    found.update(new)
-                    stack += new
-        placed |= found
-        blocks.append((sorted(found), sorted(cols)))
-    return blocks
+        if row:
+            blocks.setdefault(root[next(iter(row))], ([], []))[0].append(i)
+    for j, r in enumerate(root):
+        if r in blocks:
+            blocks[r][1].append(j)
+    return list(blocks.values())
 
 
 def _eliminate(a: IntMatrix):

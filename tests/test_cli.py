@@ -12,7 +12,6 @@ import pytest
 
 import groupoid_homology
 from groupoid_homology import checks, cli, errors, kgraph, serialize
-from groupoid_homology.abelian import FgAbGroup
 from groupoid_homology.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -509,15 +508,6 @@ def test_single_vertex_disagreement_is_a_broken_complex(capsys, monkeypatch):
         "message": "closed form H_0 = Z_3, H_1 = Z_3, H_2 = 0 disagrees with the "
                    "vertex-matrix computation H_0 = Z_2, H_1 = Z_2, H_2 = 0",
     }
-
-
-def test_cubical_torsion_is_a_broken_complex(capsys, monkeypatch, tmp_path):
-    # a graph's incidence cokernel is free; torsion there fails the command
-    monkeypatch.setattr(kgraph, "cokernel", lambda a: FgAbGroup(1, (2,)))
-    rc, out, err = run(capsys, ["cubical", write(tmp_path, "g.json", TWO_VERTEX)])
-    assert (rc, out) == (1, "")
-    assert json.loads(err)["error"] == {
-        "type": "BrokenComplex", "message": "graph incidence cokernel acquired torsion"}
 
 
 def test_rank_gates_use_their_own_exit_code(capsys, tmp_path):

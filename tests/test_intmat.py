@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from groupoid_homology import checks
 from groupoid_homology.checks import perf_skeleton, snf_net
 from groupoid_homology.abelian import FgAbGroup
+from groupoid_homology.dr_finite import ZkAction, orbit_count
 from groupoid_homology.errors import DimensionMismatch, NoIntegerSolution
 from groupoid_homology.exact_linalg import (
     IntMatrix,
     _blocks,
+    _components,
     _eliminate,
     cokernel,
     det,
@@ -24,7 +26,7 @@ from groupoid_homology.exact_linalg import (
     track_entry_growth,
     xgcd,
 )
-from groupoid_homology.kgraph import groupoid_homology
+from groupoid_homology.kgraph import KGraphSkeleton, cubical_homology_rank1, groupoid_homology
 from groupoid_homology.koszul import build
 
 
@@ -616,6 +618,71 @@ def test_blocks_are_the_support_components():
     assert blocks == [([0, 3], [1]), ([2, 4], [0, 3])]
     assert _blocks(IntMatrix.zeros(3, 0).data) == []
     assert _blocks(IntMatrix.zeros(2, 2).data) == []
+
+
+# --- connected components -------------------------------------------------
+
+def _bfs_partition(n: int, edges) -> list[list[int]]:
+    """Components of the graph on 0 .. n-1, by breadth-first search: each
+    ascending, in order of least node."""
+    adjacent = [[] for _ in range(n)]
+    for x, y in edges:
+        adjacent[x].append(y)
+        adjacent[y].append(x)
+    seen, parts = set(), []
+    for start in range(n):
+        if start not in seen:
+            seen.add(start)
+            queue = [start]
+            for x in queue:
+                for y in adjacent[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            parts.append(sorted(queue))
+    return parts
+
+
+def test_components_match_a_breadth_first_partition():
+    rng = random.Random("components")
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        groups = [[rng.randrange(n) for _ in range(rng.randint(1, 4))]
+                  for _ in range(rng.randint(0, 8) if n else 0)]
+        roots = _components(n, groups)
+        parts = {}
+        for x, r in enumerate(roots):
+            parts.setdefault(r, []).append(x)
+        expected = _bfs_partition(n, [(g[0], x) for g in groups for x in g])
+        assert list(parts.values()) == expected, (n, groups)
+        # each root is a node of its own component
+        assert all(roots[r] == r for r in roots)
+
+
+def test_orbit_count_matches_a_breadth_first_partition_on_any_self_maps():
+    # self-maps that need not be bijections, and k = 0
+    rng = random.Random("orbit-count")
+    for _ in range(500):
+        points, k = rng.randint(0, 12), rng.randint(0, 3)
+        perms = [[rng.randrange(points) for _ in range(points)] for _ in range(k)]
+        edges = [(x, p[x]) for p in perms for x in range(points)]
+        assert orbit_count(ZkAction(points, perms)) == len(_bfs_partition(points, edges))
+
+
+def test_cubical_h0_matches_a_breadth_first_partition():
+    # sources allowed, so isolated vertices occur, and loops on the diagonal
+    rng = random.Random("cubical-components")
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        density = rng.random() / 2
+        m = IntMatrix.from_rows([[rng.randint(1, 3) if rng.random() < density else 0
+                                  for _ in range(n)] for _ in range(n)])
+        sk = KGraphSkeleton([str(v) for v in range(n)], (m,), allow_sources=True)
+        edges = [(v, w) for v, row in enumerate(m.data) for w in row]
+        components = len(_bfs_partition(n, edges))
+        h0, h1 = cubical_homology_rank1(sk).groups
+        assert h0 == FgAbGroup.free(components), m
+        assert h1 == FgAbGroup.free(sum(m.entries) - n + components), m
 
 
 def test_split_cokernel_renormalizes_torsion_across_blocks():

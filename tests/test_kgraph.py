@@ -331,7 +331,7 @@ def test_cubical_cost_does_not_grow_with_edge_multiplicity():
 def test_cubical_with_loops_parallel_edges_and_both_directions():
     # M[v][w] counts edges w -> v: a loop pair at a, three edges b -> a,
     # one a -> b, a loop at c and two edges c -> d. Components {a, b} and
-    # {c, d}; the incidence has rank 2, so H_1 = Z^(9 - 2).
+    # {c, d}, so H_1 = Z^(9 - 4 + 2).
     m = IntMatrix.from_rows([[2, 3, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 2, 0]])
     prof = cubical_homology_rank1(KGraphSkeleton(("a", "b", "c", "d"), (m,)))
     assert prof.groups == (FgAbGroup.free(2), FgAbGroup.free(7))

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import hypothesis.strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 
 from groupoid_homology import exact_linalg, koszul
 from groupoid_homology.abelian import FgAbGroup
-from groupoid_homology.checks import perf_skeleton
+from groupoid_homology.checks import perf_skeleton, zk_net
 from groupoid_homology.dr_finite import (
     ZkAction,
     orbit_count,
@@ -138,6 +139,20 @@ def test_orbit_oracle_shape():
     assert [g.describe() for g in prof.groups] == ["Z", "Z^3", "Z^3", "Z"]
 
 
+@pytest.mark.parametrize("a, exc, message", [
+    (ZkAction(3, [[0, 0, 1]]), NotBijective,
+     "permutations[0] is not a bijection: value 2 is never hit "
+     "(a self-map of a finite set is bijective exactly when it is surjective)"),
+    (ZkAction(3, [[1, 0, 2], [0, 2, 1]]), NonCommuting,
+     "permutations[0] and permutations[1] do not commute: they disagree on point 0"),
+])
+def test_orbit_oracle_refuses_what_to_koszul_refuses(a, exc, message):
+    for answer in (to_koszul, orbit_oracle):
+        with pytest.raises(exc) as err:
+            answer(a)
+        assert type(err.value) is exc and str(err.value) == message
+
+
 # --- engine vs oracle ------------------------------------------------------------
 
 @settings(deadline=None, max_examples=60)
@@ -214,6 +229,24 @@ def test_torus_boundaries_leave_no_core_for_the_dense_reduction(monkeypatch):
     # both ranks are 143: Z^(144 - 143) and Z^(288 - 143), torsion-free
     assert [cokernel(c.boundary(p)) for p in (1, 2)] == [FgAbGroup(1, ()), FgAbGroup(145, ())]
     assert sum(cells) == 0
+
+
+def test_zk_net_never_hands_the_block_split_a_nonempty_row(monkeypatch):
+    # orbit_oracle counts orbits with _components, which the engine's
+    # block split shares; on an action every pivot is a unit, so the
+    # elimination leaves only empty rows and the engine groups nothing.
+    # zk_net therefore compares two answers that rest on different
+    # groupings
+    held = []
+    real = exact_linalg._blocks
+
+    def recording(rows):
+        held.append(sum(1 for row in rows if row))
+        return real(rows)
+
+    monkeypatch.setattr(exact_linalg, "_blocks", recording)
+    assert zk_net(random.Random("zk-blocks"), 300).passed
+    assert held and not any(held)
 
 
 def test_homology_of_a_split_action_reduces_each_boundary_once(monkeypatch):
