@@ -100,7 +100,7 @@ def _cmd_ktheory(args) -> int:
 
 def _cmd_single_vertex(args) -> int:
     try:
-        counts = [int(part) for part in args.edges.split(",") if part.strip()]
+        counts = [int(part) for part in args.edges.split(",")]
     except ValueError:
         raise SchemaError(f"--edges wants a comma-separated list, got {args.edges!r}")
     prof = single_vertex_closed_form(counts)

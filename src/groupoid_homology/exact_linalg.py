@@ -19,17 +19,20 @@ Storage is plain Python: an IntMatrix keeps the {col: value} dicts of
 the nonzeros of its rows, plus its column count, so vertex matrices,
 Koszul endomorphisms and boundaries are all one type. Its product goes
 row by row and costs about the nonzeros of the left factor times those
-of a row of the right one. The reductions copy their input out as
-dense row lists, with every row operation one map over a row.
+of a row of the right one. The dense reductions write their input out
+as dense row lists, with every row operation one map over a row.
 
-cokernel is the one reduction on the homology path. _eliminate first
-takes out pivots that divide their row and column, on the dict rows,
-and hands back the rows it leaves; those are split into the connected
-blocks of their support, and only each block is written dense, with
-its wide side as rows, for _hermite and then _smithify. The boundaries
-of a torus orbit and of a single vertex with every count 3 leave no
-block at all. invariant_factors, kernel_basis and det reduce the whole
-matrix written dense: they stay the plain references for cokernel.
+_cokernel is the one reduction on the homology path, and the only one
+that consumes the {col: value} rows it is given: cokernel hands it a
+copy of a matrix's rows, koszul.homology the rows of each boundary it
+has just written, which nothing else holds, so no stored row of a live
+IntMatrix ever changes. It takes out pivots that divide their row and
+column in place, splits the rows left into the connected blocks of
+their support, and writes only each block dense, with its wide side as
+rows, for _hermite and then _smithify. The boundaries of a torus orbit
+and of a single vertex with every count 3 leave no block at all.
+invariant_factors, kernel_basis and det reduce the whole matrix
+written dense: they stay the plain references for cokernel.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ class IntMatrix:
 class EntryGrowthStats:
     """Peak entry bit-length observed inside integer reductions.
 
-    Each elimination of cokernel, each Hermite stage and each Smith
+    Each elimination of _cokernel, each Hermite stage and each Smith
     reduction is recorded as [rows, cols, input_bits, peak_bits], so
     growth is judged against what that stage was given, not against
     the first matrix in a pipeline.
@@ -573,34 +576,43 @@ def _blocks(rows) -> list[tuple[list[int], list[int]]]:
     return list(blocks.values())
 
 
-def _eliminate(a: IntMatrix):
-    """Sparse elimination of divisible pivots; return (orders, rows).
+def _cokernel(rows, ncols: int) -> FgAbGroup:
+    """Z^len(rows) modulo the column span of the {col: value} rows, which
+    are consumed: entries and rows change in place.
 
-    A pivot is an entry x that divides every entry of its row and of its
-    column. Subtracting (a_kj / x) times row i from every other row k
-    with a nonzero in column j clears the column; the column operations
-    that clear row i only touch row i, so they are implied. Both steps
-    are integral and unimodular and leave diag(x) (+) A', so coker(a) is
-    Z_x (+) coker(A') (Kaczynski, Mrozek and Slusarek 1998; Dumas,
-    Heckenbach, Saunders and Welker 2003). Units are the common case.
+    First a sparse elimination of divisible pivots. A pivot is an entry
+    x that divides every entry of its row and of its column. Subtracting
+    (a_kj / x) times row i from every other row k with a nonzero in
+    column j clears the column; the column operations that clear row i
+    only touch row i, so they are implied. Both steps are integral and
+    unimodular and leave diag(x) (+) A', so the cokernel is Z_x (+)
+    coker(A') (Kaczynski, Mrozek and Slusarek 1998; Dumas, Heckenbach,
+    Saunders and Welker 2003). Units are the common case.
 
-    The elimination works on copies of the {col: value} rows of a, and
-    each column keeps the set of rows where it is nonzero. Rows wait in a
-    lazy heap keyed by (gcd, length, index); the popped row pivots on its
-    +-gcd entry whose column has the fewest nonzeros, among those that
-    divide their column. The +-gcd entries are tried in order of
+    Each column keeps the set of rows where it is nonzero. Rows wait in
+    a lazy heap keyed by (gcd, length, index); the popped row pivots on
+    its +-gcd entry whose column has the fewest nonzeros, among those
+    that divide their column. The +-gcd entries are tried in order of
     (column length, column) and the first that divides its column is
-    taken, so a column is scanned only until the pivot is found. A row with no such entry is taken up again only
-    when an elimination changes it, so the core may keep a divisible
-    entry; it is then reduced like the rest. orders holds |x| of each
-    pivot; rows are the {col: value} rows left over, one per row of a,
-    and the eliminated ones are empty.
+    taken, so a column is scanned only until the pivot is found. A row
+    with no such entry is taken up again only when an elimination
+    changes it, so the core may keep a divisible entry; it is then
+    reduced like the rest. An eliminated row is left empty.
+
+    The rows left are split into the connected blocks of their support
+    (_blocks): up to row and column order they are block diagonal, so
+    their cokernel is the direct sum of the blocks' cokernels and a Z
+    per empty row. Each block is written dense with its wide side as
+    rows (a matrix and its transpose have the same invariant factors,
+    and fewer rows mean fewer insertions into _hermite's echelon basis);
+    _smithify reduces the rows of full row rank that _hermite gives, so
+    no order is zero. from_orders renormalizes the torsion of all
+    pivots and blocks (Z_2 from one block and Z_3 from another give Z_6).
     """
-    rows = list(map(dict, a.data))
     stats = _TRACK.get()
     if stats is not None:
-        stats.begin_reduction(a.rows, a.cols, _max_abs([row.values() for row in rows]))
-    cols = [set() for _ in range(a.cols)]
+        stats.begin_reduction(len(rows), ncols, _max_abs([row.values() for row in rows]))
+    cols = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
@@ -645,25 +657,6 @@ def _eliminate(a: IntMatrix):
                 queued.pop(k, None)
         if stats is not None:
             stats.note_int(_max_abs([rows[k].values() for k in touched]))
-    return orders, rows
-
-
-def cokernel(a: IntMatrix) -> FgAbGroup:
-    """Z^rows modulo the column span of a.
-
-    Free rank is rows - rank; the invariant factors > 1 are the torsion.
-    _eliminate takes out divisible pivots first. The rows it leaves are
-    split into the connected blocks of their support (_blocks): up to
-    row and column order they are block diagonal, so their cokernel is
-    the direct sum of the blocks' cokernels and a Z per empty row. Each
-    block is written dense with its wide side as rows (a matrix and its
-    transpose have the same invariant factors, and fewer rows mean
-    fewer insertions into _hermite's echelon basis); _smithify reduces
-    the rows of full row rank that _hermite gives, so no order is zero.
-    from_orders renormalizes the torsion of all pivots and blocks (Z_2
-    from one block and Z_3 from another give Z_6).
-    """
-    orders, rows = _eliminate(a)
     for ri, cj in _blocks(rows):
         if len(ri) > len(cj):
             block = [[rows[i].get(j, 0) for i in ri] for j in cj]
@@ -671,7 +664,14 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
             block = [[rows[i].get(j, 0) for j in cj] for i in ri]
         H = _hermite(block, len(block[0]))[0]
         orders += _smithify(H, len(H), len(block[0]))[0]
-    return FgAbGroup.from_orders(a.rows - len(orders), [x for x in orders if x > 1])
+    return FgAbGroup.from_orders(len(rows) - len(orders), [x for x in orders if x > 1])
+
+
+def cokernel(a: IntMatrix) -> FgAbGroup:
+    """Z^rows modulo the column span of a: free rank rows - rank, and the
+    invariant factors > 1 as torsion. _cokernel consumes its rows, so a's
+    are copied; this is the one place that copies them."""
+    return _cokernel(list(map(dict, a.data)), a.cols)
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:

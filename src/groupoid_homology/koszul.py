@@ -13,7 +13,7 @@ Endomorphisms and boundaries are IntMatrix, which keeps the
 only, and refuses them when it is made unless they commute, so no
 record holds a non-complex; boundary(p) writes each
 block +-(id - S_i) straight from the rows of S_i each time it is
-asked, and homology drops each boundary after its cokernel.
+asked, and homology reduces the rows of each boundary in place.
 Commutation makes d o d = 0 (Eisenbud, Commutative Algebra, section
 17.2), so no boundary composite is taken. A column of the degree-p
 boundary holds the nonzeros of p such blocks, at most 2p for a Z^k
@@ -27,7 +27,7 @@ from math import comb
 
 from .abelian import FgAbGroup, HomologyProfile, _exact_ints, _list_or_tuple, _record
 from .errors import DimensionMismatch, NonCommuting, NotACycle
-from .exact_linalg import IntMatrix, cokernel
+from .exact_linalg import IntMatrix, _cokernel, cokernel
 # unused here, but perfbench/tracing.py wraps these two at this module by name
 from .exact_linalg import kernel_basis, solve_columns  # noqa: F401
 
@@ -146,16 +146,16 @@ def homology(c: KoszulComplex, notes=()) -> HomologyProfile:
     Elements of Algebraic Topology, section 11): the kernel of a map
     between free modules is a direct summand, so all torsion of
     Z^(n_p) / image sits inside kernel / image. So d_1 .. d_k are each
-    written, reduced once with no transforms and dropped in turn: the
-    cokernel of d_{p+1} gives the torsion, already a chain, and
-    n_p - r_{p+1}, and r_p is carried over. Nothing bounds degree k, so
-    H_k = Z^(n_k - r_k), and no zero map is reduced. Every record
-    commutes, so d o d = 0 and no free rank is negative.
+    written, and its rows, held by nothing else, consumed by _cokernel
+    with no transforms: the cokernel of d_{p+1} gives the torsion, a
+    chain already, and n_p - r_{p+1}; r_p is carried over. Nothing
+    bounds degree k, so H_k = Z^(n_k - r_k), and no zero map is reduced.
+    Every record commutes, so d o d = 0 and no free rank is negative.
     """
     groups = []
     r_p = 0
     for p in range(c.k):
-        coker = cokernel(c.boundary(p + 1))
+        coker = _cokernel(list(c.boundary(p + 1).data), c.dim(p + 1))
         groups.append(FgAbGroup(coker.free_rank - r_p, coker.torsion))
         r_p = c.dim(p) - coker.free_rank
     groups.append(FgAbGroup(c.dim(c.k) - r_p))

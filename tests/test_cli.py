@@ -395,12 +395,15 @@ def test_bad_permutation_image_is_a_schema_failure(capsys, tmp_path, image, mess
     }
 
 
-def test_malformed_edge_list_is_a_schema_failure(capsys):
-    rc, out, err = run(capsys, ["single-vertex", "--edges", "a,b"])
+@pytest.mark.parametrize("edges", ["a,b", "3,,3", "3,3,", ""])
+def test_malformed_edge_list_is_a_schema_failure(capsys, edges):
+    # an empty field is not skipped: "3,,3" is not the k = 2 list "3,3",
+    # and "" is no list at all rather than a closed form with no count
+    rc, out, err = run(capsys, ["single-vertex", "--edges", edges])
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == {
         "type": "SchemaError",
-        "message": "--edges wants a comma-separated list, got 'a,b'",
+        "message": f"--edges wants a comma-separated list, got {edges!r}",
     }
 
 

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from groupoid_homology import checks, exact_linalg, kgraph
+from groupoid_homology import checks, exact_linalg, kgraph, koszul
 from groupoid_homology.abelian import TRIVIAL, FgAbGroup, Z, direct_sum
 from groupoid_homology.errors import (
     HypothesisViolated,
@@ -192,8 +192,10 @@ def test_rank3_gate_fires_before_any_reduction(monkeypatch):
         raise AssertionError("the rank gate must come before any reduction")
 
     monkeypatch.setattr(exact_linalg, "_smithify", no_reductions)
-    # cokernel eliminates the 1x1 [3] boundaries without _smithify
-    monkeypatch.setattr(exact_linalg, "_eliminate", no_reductions)
+    # _cokernel eliminates the 1x1 [3] boundaries without _smithify;
+    # homology calls it by its name in koszul, cokernel by the one here
+    monkeypatch.setattr(exact_linalg, "_cokernel", no_reductions)
+    monkeypatch.setattr(koszul, "_cokernel", no_reductions)
     sk = KGraphSkeleton(("v",), tuple(IntMatrix(1, 1, [3]) for _ in range(3)))
     with pytest.raises(RankUnsupported):
         ktheory(sk)
